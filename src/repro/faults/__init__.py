@@ -8,8 +8,7 @@ docs/INTERNALS.md §11 for the architecture.  Public surface:
 * :func:`corrupt_file` — the truncation primitive behind the
   ``store_corrupt`` site (exposed for tests);
 * :func:`deterministic_uniform` — the pure ``(seed, site, key)`` hash
-  draw underlying every plan decision (shared by the engine's
-  retry-backoff jitter so chaos runs are reproducible end to end).
+  draw underlying every plan decision.
 """
 
 from repro.faults.plan import (

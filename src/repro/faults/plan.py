@@ -64,8 +64,8 @@ def deterministic_uniform(seed: int, site: str, key: Tuple) -> float:
     """Pure-function uniform draw in [0, 1) for ``(seed, site, key)``.
 
     The one hash underlying every plan decision, exposed so other
-    schedule-sensitive randomness (the engine's retry-backoff jitter)
-    can share the determinism contract without carrying a plan.
+    schedule-sensitive randomness can share the determinism contract
+    without carrying a plan.
     """
     token = f"{seed}|{site}|{key!r}".encode()
     digest = hashlib.sha256(token).digest()

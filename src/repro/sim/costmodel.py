@@ -46,7 +46,7 @@ import os
 import tempfile
 import time
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 #: Version stamp of the snapshot file and of store ``meta`` blocks this
 #: model understands; unknown versions are skipped, never errors.
@@ -312,13 +312,6 @@ class CostModel:
             return None
         self.dirty = False
         return path
-
-    def merge_observations(
-        self, rows: Iterable[Tuple[CostKey, float]]
-    ) -> None:
-        """Fold raw ``(cost key, seconds)`` pairs in (testing/tools)."""
-        for key, elapsed in rows:
-            self._observe_key(tuple(key), float(elapsed))
 
     def __repr__(self) -> str:
         return (

@@ -62,7 +62,6 @@ from __future__ import annotations
 import statistics
 import time
 import traceback as traceback_mod
-import warnings
 from concurrent.futures import FIRST_COMPLETED, wait
 from dataclasses import dataclass
 from pathlib import Path
@@ -77,7 +76,7 @@ from typing import (
     Union,
 )
 
-from repro.faults import FaultPlan, corrupt_file, deterministic_uniform
+from repro.faults import FaultPlan, corrupt_file
 from repro.obs.events import (
     BATCH_DEGRADED,
     BATCH_RESUMED,
@@ -110,10 +109,9 @@ from repro.obs.remote import (
 from repro.sim import schedule as schedule_mod
 from repro.sim.costmodel import CostModel
 from repro.sim.driver import RunResult, RunSpec
-from repro.sim.options import ExecutionOptions
 from repro.sim.pools import Pool, make_pool
 from repro.sim.pools.base import CellTimeout  # noqa: F401 — re-export
-from repro.sim.pools.base import HostDownError
+from repro.sim.pools.base import ChunkPayload, HostDownError
 from repro.sim.pools.worker import inject_cell_faults, run_with_alarm
 from repro.sim.store import ResultStore
 
@@ -129,9 +127,6 @@ FAILURE_POLICIES = ("raise", "skip", "partial")
 #: Shared across all Engine instances by default, so e.g. the CLI's
 #: exhibit loop and the bench fixtures see each other's runs.
 _MEMORY_CACHE: Dict[Tuple[str, str, str], RunResult] = {}
-
-#: The deprecated ``run_batch`` shim warns once per process.
-_RUN_BATCH_WARNED = False
 
 
 def clear_memory_cache() -> int:
@@ -214,11 +209,6 @@ class BatchResult:
         convenience: ``engine.run(cells).values()``.
         """
         return [outcome.result for outcome in self.outcomes]
-
-    @property
-    def results(self) -> List[Optional[RunResult]]:
-        """Alias of :meth:`values` (property form)."""
-        return self.values()
 
     @property
     def ok(self) -> List[CellOutcome]:
@@ -349,11 +339,6 @@ class Engine:
         :func:`repro.sim.pools.make_pool` (``"serial"``, ``"local:4"``,
         ``"ssh:hostfile"``, ``"ssh-loopback:2"``) or an already
         constructed :class:`~repro.sim.pools.Pool`.  Overrides ``jobs``.
-    options:
-        An :class:`~repro.sim.options.ExecutionOptions` bundle.  Knobs
-        it covers (backend/jobs, chunk_size, max_pool_rebuilds, store)
-        are taken from it unless the corresponding constructor argument
-        was passed explicitly.
     store:
         A :class:`ResultStore` for cross-process persistence, or ``None``
         to keep results in memory only.
@@ -373,14 +358,6 @@ class Engine:
         leaves ``None`` in that cell's ``values()`` slot.  ``"partial"``:
         like ``"skip"``, but a batch in which *every* cell failed raises
         :class:`BatchExecutionError`.
-    retry_backoff:
-        Base of the exponential backoff slept before each retry
-        (seconds; ``attempt n`` waits ``base * 2**(n-1)``, jittered
-        ±50 %, capped at 30 s).  ``0`` (default) disables backoff.
-        The jitter is drawn from the deterministic fault hash
-        (seeded by ``fault_plan.seed``, or 0 without a plan) keyed on
-        the cell's identity and attempt — never from global ``random``
-        — so chaos runs with backoff enabled replay identically.
     straggler_factor:
         Straggler mitigation (docs/INTERNALS.md §16): when set, a
         chunk whose runtime exceeds ``straggler_factor`` times the
@@ -427,17 +404,13 @@ class Engine:
         *serially* additionally stream their simulation-side tuning
         events into the same session.  Cells that run through a pool
         backend capture their tuning events worker-side instead
-        (bounded per cell by ``remote_capture_events``), ship them back
+        (bounded per cell by
+        :data:`repro.obs.remote.DEFAULT_CELL_EVENT_CAP`), ship them back
         on the chunk reply, and the engine clock-rebases and merges
         them into this session on per-worker/per-cell tracks — so one
         unified trace covers every backend (docs/INTERNALS.md §15).
         The capture is requested only when this session is live;
         telemetry never changes what a cell computes.
-    remote_capture_events:
-        Per-cell event budget for worker-side capture (default
-        :data:`repro.obs.remote.DEFAULT_CELL_EVENT_CAP`); events beyond
-        it are counted in ``stats.remote_events_dropped``.  ``0``
-        disables worker-side capture entirely.
     recorder:
         Optional :class:`repro.obs.FlightRecorder` writing the per-run
         JSONL manifest (batch config, per-cell outcomes, degradation
@@ -487,7 +460,6 @@ class Engine:
         cell_timeout: Optional[float] = None,
         max_retries: int = 1,
         failure_policy: str = "raise",
-        retry_backoff: float = 0.0,
         max_pool_rebuilds: int = 3,
         fault_plan: Optional[FaultPlan] = None,
         progress: Optional[ProgressCallback] = None,
@@ -497,8 +469,6 @@ class Engine:
         chunk_size: Optional[int] = None,
         warm_start: bool = True,
         pool: Union[str, Pool, None] = None,
-        options: Optional[ExecutionOptions] = None,
-        remote_capture_events: Optional[int] = None,
         recorder: Optional[FlightRecorder] = None,
         straggler_factor: Optional[float] = None,
         resume: Union[str, Path, None] = None,
@@ -511,24 +481,6 @@ class Engine:
                 f"failure_policy must be one of {FAILURE_POLICIES}, got "
                 f"{failure_policy!r}"
             )
-        if options is not None:
-            # Explicit constructor arguments win; anything left at its
-            # default is taken from the options bundle (API.md has the
-            # full mapping).
-            if pool is None and jobs == 1:
-                pool = options.resolved_backend()
-            if chunk_size is None:
-                chunk_size = options.chunk_size
-            if max_pool_rebuilds == 3:
-                max_pool_rebuilds = options.max_pool_rebuilds
-            if straggler_factor is None:
-                straggler_factor = options.straggler_factor
-            if schedule is None:
-                schedule = options.schedule
-            if cost_model_dir is None:
-                cost_model_dir = options.cost_model_dir
-            if store is None:
-                store = options.make_store()
         if pool is None:
             pool = f"local:{jobs}" if jobs > 1 else "serial"
         self.pool: Pool = make_pool(pool) if isinstance(pool, str) else pool
@@ -538,7 +490,6 @@ class Engine:
         self.cell_timeout = cell_timeout
         self.max_retries = max(0, int(max_retries))
         self.failure_policy = failure_policy
-        self.retry_backoff = max(0.0, float(retry_backoff))
         self.max_pool_rebuilds = max(0, int(max_pool_rebuilds))
         self.fault_plan = fault_plan
         self.progress = progress
@@ -551,11 +502,6 @@ class Engine:
             None if chunk_size is None else max(1, int(chunk_size))
         )
         self.warm_start = bool(warm_start)
-        self.remote_capture_events = (
-            DEFAULT_CELL_EVENT_CAP
-            if remote_capture_events is None
-            else max(0, int(remote_capture_events))
-        )
         self.recorder = (
             recorder if recorder is not None else FlightRecorder.from_env()
         )
@@ -773,25 +719,6 @@ class Engine:
             if self.failure_policy == "partial" and not batch.ok:
                 raise BatchExecutionError(batch)
         return batch
-
-    def run_batch(self, cells: Sequence[RunSpec]) -> "BatchResult":
-        """Deprecated alias of :meth:`run` (they merged; same return).
-
-        .. deprecated::
-            Call ``run(cells)`` — it returns the same
-            :class:`BatchResult` now.
-        """
-        global _RUN_BATCH_WARNED
-        if not _RUN_BATCH_WARNED:
-            _RUN_BATCH_WARNED = True
-            warnings.warn(
-                "Engine.run_batch() is deprecated; Engine.run() returns "
-                "the same BatchResult (use .values() for the old "
-                "list-of-results shape)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        return self.run(cells)
 
     def run_one(self, spec: RunSpec) -> RunResult:
         """Single-cell convenience wrapper around :meth:`run`."""
@@ -1054,30 +981,48 @@ class Engine:
             )
             self.telemetry.metrics.counter("engine.timeouts_unarmed").inc()
 
-    def _sleep_backoff(
-        self, attempt: int, spec: Optional[RunSpec] = None
-    ) -> None:
-        """Exponential backoff with jitter before retry ``attempt + 1``.
+    def _retry_or_fail(
+        self,
+        spec: RunSpec,
+        index: int,
+        attempt: int,
+        error: BaseException,
+        track: str = "engine",
+        **retry_fields: object,
+    ) -> bool:
+        """Account one failed attempt; True when the cell runs again.
 
-        Wall-clock pacing only — it never influences results.  The
-        jitter is nonetheless deterministic: it comes from the same
-        pure ``(seed, site, key)`` hash the fault plan uses (seed 0
-        without a plan), keyed on the cell identity and attempt — so a
-        chaos run with backoff enabled replays with identical pacing,
-        never touching global ``random`` state.
+        A timeout is counted first.  A cell past its retry budget then
+        aborts the batch (``failure_policy="raise"``) or is recorded as
+        failed; otherwise the retry is counted and announced, with
+        ``retry_fields`` appended to the ``retry`` event.
         """
-        base = self.retry_backoff
-        if base <= 0.0:
-            return
-        delay = min(base * 2.0 ** max(0, attempt - 1), 30.0)
-        seed = 0 if self.fault_plan is None else self.fault_plan.seed
-        key = (
-            ("pool", attempt)
-            if spec is None
-            else (spec.benchmark_name, spec.scheme, attempt)
+        telemetry = self.telemetry
+        if isinstance(error, CellTimeout):
+            self.stats.timeouts += 1
+            telemetry.emit_wall(
+                TIMEOUT,
+                track=track,
+                benchmark=spec.benchmark_name,
+                scheme=spec.scheme,
+            )
+            telemetry.metrics.counter("engine.timeouts").inc()
+        if attempt > self.max_retries:
+            if self.failure_policy == "raise":
+                raise CellExecutionError(spec, attempt, error) from error
+            self._record_failure(spec, index, attempt, error)
+            return False
+        self.stats.retries += 1
+        telemetry.emit_wall(
+            RETRY,
+            track=track,
+            benchmark=spec.benchmark_name,
+            scheme=spec.scheme,
+            attempt=attempt,
+            **retry_fields,
         )
-        jitter = deterministic_uniform(seed, "retry_backoff", key)
-        time.sleep(delay * (0.5 + jitter))
+        telemetry.metrics.counter("engine.retries").inc()
+        return True
 
     def _drain_health(self) -> None:
         """Forward the pool's buffered health transitions into
@@ -1110,17 +1055,12 @@ class Engine:
         serial = [i for i in pending if i not in set(pool_eligible)]
         # A single eligible cell normally runs serially (cheaper, and it
         # streams simulation telemetry directly) — unless the parent's
-        # telemetry session is live and worker-side capture is on, in
-        # which case routing through the pool exercises the same
-        # capture/merge path a multi-cell batch uses, keeping traces
-        # uniform across batch sizes.
+        # telemetry session is live, in which case routing through the
+        # pool exercises the same capture/merge path a multi-cell batch
+        # uses, keeping traces uniform across batch sizes.
         if self.pool.capabilities.parallel and (
             len(pool_eligible) > 1
-            or (
-                pool_eligible
-                and self.telemetry.enabled
-                and self.remote_capture_events > 0
-            )
+            or (pool_eligible and self.telemetry.enabled)
         ):
             self._run_pool(specs, pool_eligible, results)
         else:
@@ -1171,32 +1111,10 @@ class Engine:
                 elapsed_s = time.perf_counter() - cell_t0
                 break
             except Exception as error:  # noqa: BLE001 — retry boundary
-                if isinstance(error, CellTimeout):
-                    self.stats.timeouts += 1
-                    telemetry.emit_wall(
-                        TIMEOUT,
-                        track="worker:0",
-                        benchmark=spec.benchmark_name,
-                        scheme=spec.scheme,
-                    )
-                    telemetry.metrics.counter("engine.timeouts").inc()
-                if attempts > self.max_retries:
-                    if self.failure_policy == "raise":
-                        raise CellExecutionError(
-                            spec, attempts, error
-                        ) from error
-                    self._record_failure(spec, index, attempts, error)
+                if not self._retry_or_fail(
+                    spec, index, attempts, error, track="worker:0"
+                ):
                     return
-                self.stats.retries += 1
-                telemetry.emit_wall(
-                    RETRY,
-                    track="worker:0",
-                    benchmark=spec.benchmark_name,
-                    scheme=spec.scheme,
-                    attempt=attempts,
-                )
-                telemetry.metrics.counter("engine.retries").inc()
-                self._sleep_backoff(attempts, spec)
         telemetry.emit_wall(
             CELL_DONE,
             track="worker:0",
@@ -1267,7 +1185,6 @@ class Engine:
                     for index in to_run:
                         self._run_serial(specs[index], index, results)
                     return
-                self._sleep_backoff(rebuilds)
 
     def _survivors_of_crash(
         self,
@@ -1293,29 +1210,17 @@ class Engine:
                 interrupted=len(broken.interrupted),
                 error=repr(broken.cause)[:200],
             )
-        survivors: List[int] = []
-        for index in broken.interrupted:
-            spec = specs[index]
-            if attempts[index] > self.max_retries:
-                if self.failure_policy == "raise":
-                    raise CellExecutionError(
-                        spec, attempts[index], broken.cause
-                    ) from broken.cause
-                self._record_failure(
-                    spec, index, attempts[index], broken.cause
-                )
-                continue
-            self.stats.retries += 1
-            telemetry.emit_wall(
-                RETRY,
-                benchmark=spec.benchmark_name,
-                scheme=spec.scheme,
-                attempt=attempts[index],
+        return [
+            index
+            for index in broken.interrupted
+            if self._retry_or_fail(
+                specs[index],
+                index,
+                attempts[index],
+                broken.cause,
                 reason="worker_crash",
             )
-            telemetry.metrics.counter("engine.retries").inc()
-            survivors.append(index)
-        return survivors
+        ]
 
     def _ensure_pool(
         self, specs: Sequence[RunSpec], indices: List[int]
@@ -1347,13 +1252,6 @@ class Engine:
             )
             telemetry.metrics.counter("engine.pool_reuses").inc()
         return pool
-
-    def _chunks(self, indices: List[int]) -> List[List[int]]:
-        """Legacy deterministic chunk partition (count-based, in
-        submission order) — the planner's cold-start/fifo shape."""
-        return schedule_mod.legacy_chunks(
-            indices, self.pool.workers, self.chunk_size
-        )
 
     def _plan_round(
         self, specs: Sequence[RunSpec], indices: List[int]
@@ -1396,9 +1294,25 @@ class Engine:
             self.stats.predicted_makespan_s = plan.predicted_makespan_s
         return plan, estimates
 
+    def _chunk_payload(self, cells: List[Tuple]) -> ChunkPayload:
+        """The one chunk wire shape: ``(cells, timeout, fault_plan,
+        capture)``.
+
+        Worker-side telemetry capture is requested only while the
+        parent session is live (``capture`` is ``None`` otherwise);
+        its per-cell cap is read here, at build time, so the workers
+        receive whatever :data:`DEFAULT_CELL_EVENT_CAP` currently says.
+        """
+        capture = (
+            {"max_events": DEFAULT_CELL_EVENT_CAP}
+            if self.telemetry.enabled
+            else None
+        )
+        return (tuple(cells), self.cell_timeout, self.fault_plan, capture)
+
     def _merge_worker_snapshot(
         self,
-        chunk_info: Optional[Dict],
+        chunk_info: Dict,
         chunk: List[int],
         submitted_at: Dict[int, float],
     ) -> None:
@@ -1409,8 +1323,6 @@ class Engine:
         replies); captured events/metrics clock-rebase onto per-worker
         and per-cell tracks with engine-lifetime monotonicity.
         """
-        if not chunk_info:
-            return
         unarmed = int(chunk_info.get("unarmed_timeouts", 0) or 0)
         if unarmed:
             self._note_unarmed_timeout(count=unarmed)
@@ -1459,14 +1371,6 @@ class Engine:
         twins: Dict = {}
         speculative: set = set()
         durations: List[float] = []
-        # Worker-side telemetry capture is requested only when the
-        # parent session is live, so the NULL_TELEMETRY default keeps
-        # the legacy 3-tuple payload / 2-tuple reply wire traffic.
-        capture = (
-            {"max_events": self.remote_capture_events}
-            if telemetry.enabled and self.remote_capture_events > 0
-            else None
-        )
         try:
 
             def _submit(chunk: List[int]) -> None:
@@ -1486,10 +1390,7 @@ class Engine:
                         attempt=attempts[index],
                     )
                     cells.append((index, specs[index], attempts[index]))
-                payload = (tuple(cells), self.cell_timeout, self.fault_plan)
-                if capture is not None:
-                    payload = payload + (capture,)
-                future = pool.submit_chunk(payload)
+                future = pool.submit_chunk(self._chunk_payload(cells))
                 futures[future] = list(chunk)
                 chunk_started[future] = time.perf_counter()
                 _sync_in_flight()
@@ -1521,14 +1422,11 @@ class Engine:
                 fault plan's per-attempt decisions replay identically
                 while host-keyed delays redraw on the new host.
                 """
-                cells = tuple(
+                cells = [
                     (index, specs[index], attempts[index]) for index in chunk
-                )
-                payload = (cells, self.cell_timeout, self.fault_plan)
-                if capture is not None:
-                    payload = payload + (capture,)
+                ]
                 try:
-                    twin = pool.submit_chunk(payload)
+                    twin = pool.submit_chunk(self._chunk_payload(cells))
                 except broken_types as error:
                     raise _broken(chunk, error) from error
                 futures[twin] = list(chunk)
@@ -1697,47 +1595,26 @@ class Engine:
                         cell_times = {}
                         executed_by = None
                     else:
-                        reply = future.result()
-                        cell_times = {}
-                        executed_by = None
-                        per_cell = None
                         if started is not None and chunk:
                             per_cell = (
                                 time.perf_counter() - started
                             ) / len(chunk)
                             durations.extend([per_cell] * len(chunk))
-                        if len(reply) > 2:
-                            warmup, outcomes, chunk_info = reply
-                            if chunk_info:
-                                # Cost-model feed: worker-measured
-                                # per-cell seconds and the executor's
-                                # identity (host#incarnation over ssh,
-                                # host#pid otherwise).
-                                cell_times = {
-                                    int(i): float(s)
-                                    for i, s in (
-                                        chunk_info.get("cell_times") or ()
-                                    )
-                                }
-                                executed_by = (
-                                    chunk_info.get("host_id")
-                                    or chunk_info.get("origin")
-                                )
-                                self.cost_model.observe_host(
-                                    executed_by,
-                                    len(chunk),
-                                    chunk_info.get("service_s"),
-                                )
-                            self._merge_worker_snapshot(
-                                chunk_info, chunk, submitted_at
-                            )
-                        else:
-                            warmup, outcomes = reply
-                        if per_cell is not None:
-                            # Parent-side chunk average as the timing
-                            # fallback for replies without per-cell data.
-                            for member in chunk:
-                                cell_times.setdefault(member, per_cell)
+                        warmup, outcomes, chunk_info = future.result()
+                        # Cost-model feed: worker-measured per-cell
+                        # seconds and the executor's identity
+                        # (host#incarnation over ssh, host#pid otherwise).
+                        cell_times = dict(chunk_info["cell_times"])
+                        executed_by = (
+                            chunk_info.get("host_id")
+                            or chunk_info.get("origin")
+                        )
+                        self.cost_model.observe_host(
+                            executed_by, len(chunk), chunk_info["service_s"]
+                        )
+                        self._merge_worker_snapshot(
+                            chunk_info, chunk, submitted_at
+                        )
                     if warmup is not None:
                         telemetry.emit_wall(WORKER_WARMUP, **warmup)
                         telemetry.metrics.counter(
@@ -1766,36 +1643,10 @@ class Engine:
                                 executed_by=executed_by,
                             )
                             continue
-                        error = value
-                        if isinstance(error, CellTimeout):
-                            self.stats.timeouts += 1
-                            telemetry.emit_wall(
-                                TIMEOUT,
-                                track=track,
-                                benchmark=spec.benchmark_name,
-                                scheme=spec.scheme,
-                            )
-                            telemetry.metrics.counter("engine.timeouts").inc()
-                        if attempts[index] > self.max_retries:
-                            if self.failure_policy == "raise":
-                                raise CellExecutionError(
-                                    spec, attempts[index], error
-                                ) from error
-                            self._record_failure(
-                                spec, index, attempts[index], error
-                            )
-                            continue
-                        self.stats.retries += 1
-                        telemetry.emit_wall(
-                            RETRY,
-                            track=track,
-                            benchmark=spec.benchmark_name,
-                            scheme=spec.scheme,
-                            attempt=attempts[index],
-                        )
-                        telemetry.metrics.counter("engine.retries").inc()
-                        self._sleep_backoff(attempts[index], spec)
-                        retry.append(index)
+                        if self._retry_or_fail(
+                            spec, index, attempts[index], value, track=track
+                        ):
+                            retry.append(index)
                     for index in retry:
                         try:
                             _submit([index])

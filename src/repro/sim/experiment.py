@@ -24,6 +24,7 @@ from repro.sim.engine import (
     ProgressCallback,
     clear_memory_cache,
 )
+from repro.sim.options import ExecutionOptions
 from repro.sim.store import ResultStore
 from repro.workloads.specjvm import BENCHMARK_NAMES
 
@@ -49,50 +50,36 @@ def set_default_store(store: Optional[ResultStore]) -> None:
 
 
 def make_engine(
-    jobs: int = 1,
-    use_cache: bool = True,
-    progress: Optional[ProgressCallback] = None,
-    failure_policy: str = "raise",
-    fault_plan=None,
-    options=None,
-    telemetry=None,
-    recorder=None,
-    resume=None,
+    options: Optional[ExecutionOptions] = None, **kwargs
 ) -> Engine:
     """An engine wired to the shared memory cache and default store.
 
-    ``options`` (an :class:`repro.sim.options.ExecutionOptions`) carries
-    the backend spec, chunking, and straggler knobs; the persistent
-    layer stays the module default unless the options disable it
-    (``no_store``) or point elsewhere (``store_dir`` — applied via
-    :func:`set_default_store` by the CLI before this is called).
-    ``telemetry``, ``recorder``, and ``resume`` (a prior run's
-    flight-recorder manifest) pass straight through to :class:`Engine`
-    (the CLI's ``--trace`` / ``--record`` / ``--resume`` plumbing).
+    This is the one place :class:`ExecutionOptions` fields become
+    :class:`Engine` arguments: the backend (``backend``/``jobs``), the
+    store (the module default unless ``no_store`` or ``store_dir`` say
+    otherwise), and the chunking, rebuild, straggler and scheduling
+    knobs.  ``kwargs`` pass the other :class:`Engine` arguments
+    (``use_cache``, ``progress``, ``failure_policy``, ``telemetry``,
+    ...); naming one that is already set here (``store``, or with
+    ``options`` any execution knob) is a ``TypeError``, so every knob
+    has exactly one source.
     """
-    return Engine(
-        jobs=jobs,
-        store=get_default_store(),
-        use_cache=use_cache,
-        progress=progress,
-        failure_policy=failure_policy,
-        fault_plan=fault_plan,
-        pool=None if options is None else options.resolved_backend(),
-        chunk_size=None if options is None else options.chunk_size,
-        max_pool_rebuilds=(
-            3 if options is None else options.max_pool_rebuilds
-        ),
-        straggler_factor=(
-            None if options is None else options.straggler_factor
-        ),
-        schedule=None if options is None else options.schedule,
-        cost_model_dir=(
-            None if options is None else options.cost_model_dir
-        ),
-        telemetry=telemetry,
-        recorder=recorder,
-        resume=resume,
-    )
+    execution: Dict[str, object] = {"store": get_default_store()}
+    if options is not None:
+        execution.update(
+            # ``jobs`` rides along with the resolved backend so that a
+            # caller cannot pass one the backend would silently beat.
+            jobs=options.jobs,
+            pool=options.resolved_backend(),
+            chunk_size=options.chunk_size,
+            max_pool_rebuilds=options.max_pool_rebuilds,
+            straggler_factor=options.straggler_factor,
+            schedule=options.schedule,
+            cost_model_dir=options.cost_model_dir,
+        )
+        if options.no_store or options.store_dir is not None:
+            execution["store"] = options.make_store()
+    return Engine(**execution, **kwargs)
 
 
 def cached_run(

@@ -5,8 +5,10 @@ The engine's scattered execution parameters — ``--jobs``,
 ``--backend``, ``--store-dir``, ``--no-store``, ``chunk_size``,
 ``max_pool_rebuilds`` — are consolidated here: the CLI registers and
 parses them once (:meth:`ExecutionOptions.add_arguments` /
-:meth:`ExecutionOptions.from_args`), and :class:`repro.sim.engine
-.Engine` consumes the whole object via ``Engine(options=...)``.
+:meth:`ExecutionOptions.from_args`), and
+:func:`repro.sim.experiment.make_engine` — the one place these fields
+become :class:`repro.sim.engine.Engine` arguments — consumes the whole
+object.
 
 Backend resolution: an explicit ``backend`` spec wins; otherwise
 ``jobs > 1`` means ``local:<jobs>`` and anything else means ``serial``
@@ -22,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.sim.pools import Pool, make_pool
 from repro.sim.store import ResultStore
 
 
@@ -63,9 +64,6 @@ class ExecutionOptions:
         if self.backend is not None:
             return self.backend
         return f"local:{self.jobs}" if self.jobs > 1 else "serial"
-
-    def make_pool(self) -> Pool:
-        return make_pool(self.resolved_backend())
 
     def make_store(self) -> Optional[ResultStore]:
         """The persistent layer these options ask for (None = disabled)."""

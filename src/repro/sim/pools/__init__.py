@@ -51,6 +51,7 @@ __all__ = [
     "SSHPool",
     "SerialPool",
     "available_backends",
+    "available_cpus",
     "completed_future",
     "loopback_transport",
     "make_pool",
@@ -92,6 +93,19 @@ def make_pool(spec: str) -> Pool:
     return factory(arg)
 
 
+def available_cpus() -> int:
+    """CPUs this process may run on.
+
+    The affinity mask (``os.sched_getaffinity``) where the platform has
+    one — under ``taskset`` or a container CPU set it is smaller than
+    the machine — else ``os.cpu_count()``.
+    """
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def _int_arg(arg: Optional[str], default: int, spec: str) -> int:
     if arg is None or arg == "":
         return default
@@ -112,7 +126,7 @@ def _make_serial(arg: Optional[str]) -> Pool:
 
 def _make_local(arg: Optional[str]) -> Pool:
     return LocalProcessPool(
-        workers=_int_arg(arg, os.cpu_count() or 2, f"local:{arg}")
+        workers=_int_arg(arg, available_cpus(), f"local:{arg}")
     )
 
 

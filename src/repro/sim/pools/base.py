@@ -8,23 +8,20 @@ fleet of remote hosts (:class:`~repro.sim.pools.ssh.SSHPool`).  The
 engine never cares which: it speaks only this interface, and the
 differential grid proves every backend bit-identical to serial.
 
-The chunk protocol is the one the engine has always used internally
-(:func:`repro.sim.pools.worker.run_chunk`): a payload of
-``(cells, timeout, fault_plan)`` — extended to ``(cells, timeout,
-fault_plan, capture)`` when the parent's telemetry session is live
-(docs/INTERNALS.md §15) — with ``cells`` a tuple of
-``(index, spec, attempt)`` triples, answered by
-``(warmup, outcomes, chunk_info)`` where each outcome is
+The chunk protocol (:func:`repro.sim.pools.worker.run_chunk`) has one
+shape each way.  The payload is ``(cells, timeout, fault_plan,
+capture)``, with ``cells`` a tuple of ``(index, spec, attempt)``
+triples and ``capture`` the worker-side telemetry spec when the
+parent's session is live, else ``None`` (docs/INTERNALS.md §15).  The
+reply is ``(warmup, outcomes, chunk_info)``, where each outcome is
 ``(index, "ok", result)`` or ``(index, "error", exception)`` and
 ``chunk_info`` is the worker's snapshot: at minimum its executor
 identity, per-cell measured seconds (``cell_times``), and unarmed
 timeout count — the scheduler's cost model feeds on these — plus the
-full clock-stamped telemetry capture when the parent session is live
-(docs/INTERNALS.md §15).  Backends pass the payload and reply through
-opaquely; legacy 2-tuple replies (older workers) are still accepted by
-the engine, which simply learns nothing from them.  Per-cell failures
-are *returned*, never raised — a raised exception from a chunk means
-the transport or the worker itself died.
+full clock-stamped telemetry capture when one was requested.  Backends
+pass the payload and reply through opaquely.  Per-cell failures are
+*returned*, never raised — a raised exception from a chunk means the
+transport or the worker itself died.
 
 Capability flags tell the engine which degradation semantics apply:
 
@@ -57,10 +54,9 @@ from typing import Dict, List, Sequence, Tuple
 
 #: One submitted cell: (batch index, RunSpec, attempt number).
 ChunkCell = Tuple[int, object, int]
-#: What travels to a worker: ``(cells, timeout, fault_plan)``, plus an
-#: optional trailing telemetry-capture spec when the parent session is
-#: live (see the module docstring; workers accept both arities).
-ChunkPayload = Tuple[object, ...]
+#: What travels to a worker: ``(cells, timeout, fault_plan, capture)``
+#: (see the module docstring).
+ChunkPayload = Tuple[Tuple[ChunkCell, ...], object, object, object]
 
 
 class CellTimeout(Exception):
@@ -135,8 +131,8 @@ class Pool:
         raise NotImplementedError
 
     def submit_chunk(self, payload: ChunkPayload) -> "Future":
-        """Submit one chunk; the future resolves to ``(warmup, outcomes)``
-        or ``(warmup, outcomes, chunk_info)`` (telemetry snapshot).
+        """Submit one chunk; the future resolves to ``(warmup, outcomes,
+        chunk_info)``.
 
         The pool must be started.  Raises one of
         :attr:`broken_exceptions` (or sets it on the future) when the

@@ -58,7 +58,7 @@ class SerialPool(Pool):
             raise PoolBrokenError("SerialPool is closed")
         import dataclasses
 
-        cells, timeout, plan = payload[:3]
+        cells, timeout, plan, capture = payload
         # No pickle boundary shields the caller here, so two worker-side
         # behaviours must be neutralised inline: ``run_chunk`` mutating
         # ``spec.benchmark`` into a built object (copy each spec), and a
@@ -74,9 +74,7 @@ class SerialPool(Pool):
                 plan, worker_crash=0.0, host_down=0.0
             )
         return completed_future(
-            worker_mod.run_chunk(
-                (safe_cells, timeout, plan) + tuple(payload[3:])
-            )
+            worker_mod.run_chunk((safe_cells, timeout, plan, capture))
         )
 
     def close(self, fail_fast: bool = False) -> None:

@@ -5,10 +5,9 @@ module so ``python -m repro.sim.pools.ssh_worker`` does not re-import
 the worker module through the package ``__init__`` (runpy warns about
 that), and so the pool side never imports worker-only code.
 
-The framing is payload-agnostic on purpose: protocol growth (the
-optional telemetry-capture element on chunk payloads, the chunk_info
-snapshot on replies — docs/INTERNALS.md §15) needs no framing change,
-only tuple-arity tolerance at both ends.
+The framing is payload-agnostic on purpose: it carries whatever the
+chunk protocol says (one payload shape, one reply shape —
+docs/INTERNALS.md §14) without knowing its contents.
 """
 
 from __future__ import annotations

@@ -235,11 +235,11 @@ def picklable(error: BaseException) -> BaseException:
 def run_chunk(payload: ChunkPayload) -> tuple:
     """Top-level chunk entry (must be importable for pickling).
 
-    ``payload`` is ``(cells, timeout, plan)`` — or, when the parent's
-    telemetry session is live, ``(cells, timeout, plan, capture)`` with
-    ``capture`` a plain-dict spec (``{"max_events": N}``) — where
-    ``cells`` is a tuple of ``(index, spec, attempt)``; the timeout and
-    the fault plan are pickled once per chunk instead of once per cell.
+    ``payload`` is ``(cells, timeout, plan, capture)``, where ``cells``
+    is a tuple of ``(index, spec, attempt)`` and ``capture`` is a
+    plain-dict spec (``{"max_events": N}``) when the parent's telemetry
+    session is live, else ``None``; the timeout and the fault plan are
+    pickled once per chunk instead of once per cell.
     Returns ``(warmup, outcomes, chunk_info)``; each outcome is
     ``(index, "ok", result)`` or ``(index, "error", error)``.
     ``chunk_info`` always carries at least the executor's identity
@@ -260,11 +260,7 @@ def run_chunk(payload: ChunkPayload) -> tuple:
     tests/test_remote_obs.py holds the contract).
     """
     global _WORKER_WARMUP
-    if len(payload) >= 4:
-        cells, timeout, plan, capture_spec = payload[:4]
-    else:
-        cells, timeout, plan = payload
-        capture_spec = None
+    cells, timeout, plan, capture_spec = payload
     capture = ChunkCapture(capture_spec) if capture_spec else None
     inject_host_faults(plan)
     unarmed = 0

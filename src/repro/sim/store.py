@@ -19,9 +19,9 @@ their lease contention across 256 buckets instead of one flat dir::
       3f/.lease                       # transient per-shard writer lease
       a0/jess__baseline__a01b42....json
 
-Entries written by older checkouts into the flat root are still read
-(and migrated into their shard on first hit), so an existing store
-keeps working after an upgrade.
+Files in the flat root (the pre-shard layout) are not read: a store is
+a cache, so such an entry simply misses and the cell re-simulates into
+its shard.
 
 Entry layout (schema version 1)::
 
@@ -257,12 +257,6 @@ class ResultStore:
             f"{benchmark}__{scheme}__{fingerprint[:24]}.json"
         )
 
-    def _legacy_path_for(
-        self, benchmark: str, scheme: str, fingerprint: str
-    ) -> Path:
-        """Flat pre-shard location (read-only compatibility)."""
-        return self.root / f"{benchmark}__{scheme}__{fingerprint[:24]}.json"
-
     # -- read/write --------------------------------------------------------
 
     def get(
@@ -274,23 +268,9 @@ class ResultStore:
         quarantined on the spot — renamed to ``<entry>.corrupt`` with a
         ``.reason`` sidecar — so the damage is preserved and visible
         (``tools/store_gc.py``) instead of being silently rewritten by
-        the re-simulation that follows the miss.  Flat entries left by
-        the pre-shard layout are found too, and migrated into their
-        shard on first hit.
+        the re-simulation that follows the miss.
         """
         path = self.path_for(benchmark, scheme, fingerprint)
-        result = self._read_entry(path, fingerprint)
-        if result is not None:
-            return result
-        legacy = self._legacy_path_for(benchmark, scheme, fingerprint)
-        result = self._read_entry(legacy, fingerprint)
-        if result is not None:
-            self._migrate(legacy, path)
-        return result
-
-    def _read_entry(
-        self, path: Path, fingerprint: str
-    ) -> Optional[RunResult]:
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 payload = json.load(handle)
@@ -310,14 +290,6 @@ class ResultStore:
         except (ValueError, KeyError, TypeError) as error:
             self._quarantine(path, f"undecodable result: {error!r}")
             return None
-
-    def _migrate(self, legacy: Path, target: Path) -> None:
-        """Atomically move a flat pre-shard entry into its shard."""
-        try:
-            target.parent.mkdir(parents=True, exist_ok=True)
-            os.replace(legacy, target)
-        except OSError:
-            pass  # a concurrent reader migrated it (or the FS refused)
 
     def _quarantine(self, path: Path, reason: str) -> Optional[Path]:
         """Move a damaged entry aside as ``*.corrupt`` + reason sidecar."""
@@ -432,18 +404,15 @@ class ResultStore:
 
     # -- maintenance -------------------------------------------------------
 
-    def _glob_both(self, pattern: str) -> List[Path]:
-        """Matches in the flat root (legacy) and in every shard."""
+    def _glob_shards(self, pattern: str) -> List[Path]:
+        """Matches in every shard directory."""
         if not self.root.is_dir():
             return []
-        return sorted(
-            list(self.root.glob(pattern))
-            + list(self.root.glob(f"*/{pattern}"))
-        )
+        return sorted(self.root.glob(f"*/{pattern}"))
 
     def entries(self) -> Iterator[StoreEntryInfo]:
-        """Metadata for every ``*.json`` entry (all shards + flat root)."""
-        for path in self._glob_both("*.json"):
+        """Metadata for every ``*.json`` entry in every shard."""
+        for path in self._glob_shards("*.json"):
             try:
                 stat = path.stat()
                 size, mtime = stat.st_size, stat.st_mtime
@@ -483,7 +452,7 @@ class ResultStore:
         entries written before metadata existed, corrupt files, and
         foreign schema versions are all skipped silently.
         """
-        for path in self._glob_both("*.json"):
+        for path in self._glob_shards("*.json"):
             try:
                 with open(path, "r", encoding="utf-8") as handle:
                     payload = json.load(handle)
@@ -497,13 +466,13 @@ class ResultStore:
 
     def stale_tmp_files(self) -> List[Path]:
         """Leftover atomic-write temp files (a crashed writer's debris)."""
-        return self._glob_both("*.tmp")
+        return self._glob_shards("*.tmp")
 
     def corrupt_files(self) -> List[Path]:
         """Quarantined entries (``*.corrupt``), excluding reason sidecars."""
         return [
             path
-            for path in self._glob_both("*.corrupt")
+            for path in self._glob_shards("*.corrupt")
             if path.suffix == ".corrupt"
         ]
 
@@ -516,7 +485,7 @@ class ResultStore:
         """
         now = time.time() if now is None else now
         stale = []
-        for path in self._glob_both(LEASE_NAME):
+        for path in self._glob_shards(LEASE_NAME):
             try:
                 if now - path.stat().st_mtime > LEASE_STALE_S:
                     stale.append(path)
@@ -546,14 +515,14 @@ class ResultStore:
         if not self.root.is_dir():
             return ClearStats()
         entries = tmp = corrupt = 0
-        for path in self._glob_both("*.json"):
+        for path in self._glob_shards("*.json"):
             entries += self._unlink(path)
-        for path in self._glob_both("*.tmp"):
+        for path in self._glob_shards("*.tmp"):
             tmp += self._unlink(path)
         for path in self.corrupt_files():
             corrupt += self._unlink(path)
             self._unlink(path.with_name(path.name + ".reason"))
-        for path in self._glob_both(LEASE_NAME):
+        for path in self._glob_shards(LEASE_NAME):
             self._unlink(path)
         for shard in self.root.iterdir():
             if shard.is_dir():
@@ -572,7 +541,7 @@ class ResultStore:
             return 0
 
     def __len__(self) -> int:
-        return len(self._glob_both("*.json"))
+        return len(self._glob_shards("*.json"))
 
     def __repr__(self) -> str:
         return f"ResultStore({str(self.root)!r}, entries={len(self)})"

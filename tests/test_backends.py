@@ -19,7 +19,6 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import pytest
@@ -28,12 +27,14 @@ from repro.faults import FaultPlan
 from repro.sim.config import ExperimentConfig
 from repro.sim.driver import RunSpec
 from repro.sim.engine import Engine
+from repro.sim.experiment import make_engine
 from repro.sim.options import ExecutionOptions
 from repro.sim.pools import (
     LocalProcessPool,
     SerialPool,
     SSHPool,
     available_backends,
+    available_cpus,
     make_pool,
     parse_backend_spec,
 )
@@ -78,6 +79,21 @@ class TestRegistry:
         assert parse_backend_spec("ssh:user@h1:hosts") == (
             "ssh", "user@h1:hosts"
         )
+
+    def test_bare_local_sizes_to_the_affinity_mask(self, monkeypatch):
+        # Pinned to one CPU of a larger machine: a bare ``local`` spec
+        # must not oversubscribe the mask.
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {0}, raising=False
+        )
+        assert available_cpus() == 1
+        assert make_pool("local").workers == 1
+        assert make_pool("local:3").workers == 3
+        # Platforms without the call fall back to the CPU count.
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert available_cpus() == 8
+        assert make_pool("local").workers == 8
 
     def test_factories_produce_the_right_pools(self, tmp_path):
         assert isinstance(make_pool("serial"), SerialPool)
@@ -225,7 +241,7 @@ class TestPoolLifecycle:
     def test_submit_on_closed_pool_raises_broken(self):
         pool = make_pool("serial")
         with pytest.raises(Exception) as excinfo:
-            pool.submit_chunk(((), None, None))
+            pool.submit_chunk(((), None, None, None))
         assert isinstance(excinfo.value, pool.broken_exceptions)
 
     def test_loopback_worker_death_is_a_broken_pool(self):
@@ -240,7 +256,7 @@ class TestPoolLifecycle:
                     worker.proc.kill()
                     worker.proc.wait(timeout=10)
             cells = ((0, RunSpec("db", "baseline", config()), 1),)
-            future = pool.submit_chunk((cells, None, None))
+            future = pool.submit_chunk((cells, None, None, None))
             error = future.exception(timeout=30)
             assert isinstance(error, pool.broken_exceptions)
         finally:
@@ -280,21 +296,24 @@ class TestExecutionOptions:
             max_pool_rebuilds=7,
             store_dir=str(tmp_path / "store"),
         )
-        engine = Engine(options=options)
+        engine = make_engine(options)
         assert isinstance(engine.pool, LocalProcessPool)
         assert engine.jobs == 3
         assert engine.chunk_size == 2
         assert engine.max_pool_rebuilds == 7
         assert engine.store is not None
         assert engine.store.root == tmp_path / "store"
-        no_store = Engine(options=ExecutionOptions(no_store=True))
+        no_store = make_engine(ExecutionOptions(no_store=True))
         assert no_store.store is None
 
-    def test_explicit_arguments_beat_options(self):
-        options = ExecutionOptions(backend="local:3", chunk_size=2)
-        engine = Engine(pool="serial", chunk_size=4, options=options)
-        assert isinstance(engine.pool, SerialPool)
-        assert engine.chunk_size == 4
+    def test_options_and_explicit_arguments_never_both_set(self):
+        # One source per knob: naming an argument the options already
+        # set fails loudly instead of one of them silently winning.
+        options = ExecutionOptions(jobs=4, chunk_size=2)
+        for explicit in ({"jobs": 1}, {"pool": "serial"},
+                         {"chunk_size": 4}, {"store": None}):
+            with pytest.raises(TypeError):
+                make_engine(options, **explicit)
 
     def test_fingerprint_never_sees_execution_knobs(self):
         # The backend is a location, not an identity: no ExecutionOptions
@@ -315,30 +334,6 @@ class TestExecutionOptions:
         ):
             assert field not in str(canonical)
         assert cfg.fingerprint() == fingerprint
-
-
-class TestDeprecatedShims:
-    def test_run_batch_warns_exactly_once_and_matches_run(
-        self, monkeypatch
-    ):
-        import repro.sim.engine as engine_mod
-
-        monkeypatch.setattr(engine_mod, "_RUN_BATCH_WARNED", False)
-        engine = Engine(memory_cache={})
-        cells = [RunSpec("db", "baseline", config())]
-        expected = engine.run(cells).values()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            first = engine.run_batch(cells)
-            second = engine.run_batch(cells)
-        deprecations = [
-            w for w in caught
-            if issubclass(w.category, DeprecationWarning)
-            and "run_batch" in str(w.message)
-        ]
-        assert len(deprecations) == 1
-        assert first.values() == expected
-        assert second.values() == expected
 
 
 # ---------------------------------------------------------------------------
@@ -448,29 +443,6 @@ class TestConcurrentWriterStress:
         assert time_mod.monotonic() - started < 5.0  # no LEASE_WAIT stall
         assert store.lease_timeouts == 0
         assert not lease.exists()  # released after the commit
-
-    def test_legacy_flat_entry_is_read_and_migrated(self, tmp_path):
-        import repro.sim.driver as driver
-
-        store = ResultStore(tmp_path)
-        fingerprint = "cd" * 32
-        result = driver.RunResult(
-            benchmark="db", scheme="baseline", instructions=1,
-            cycles=1.0, ipc=1.0, l1d_energy_nj=0.0, l2_energy_nj=0.0,
-            l1d_breakdown={}, l2_breakdown={}, memory_nj=0.0,
-            l1d_miss_rate=0.0, l2_miss_rate=0.0,
-            branch_mispredict_rate=0.0, n_hotspots=0,
-            instructions_in_hotspots=0,
-        )
-        sharded_path = store.put("db", "baseline", fingerprint, result)
-        flat_path = store._legacy_path_for("db", "baseline", fingerprint)
-        # Recreate the pre-shard layout by moving the entry to the root.
-        os.replace(sharded_path, flat_path)
-        assert not sharded_path.exists()
-        assert store.get("db", "baseline", fingerprint) == result
-        # First hit migrated it into its shard.
-        assert sharded_path.exists()
-        assert not flat_path.exists()
 
 
 if __name__ == "__main__":

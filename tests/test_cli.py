@@ -110,6 +110,69 @@ class TestMain:
         assert stats["elapsed_seconds"] >= 0
 
 
+class _EngineBuilt(Exception):
+    """Stops a CLI command once its Engine arguments are known."""
+
+
+class TestOptionsMapping:
+    """Every ExecutionOptions field reaches the Engine from both CLI
+    entry points, through ``make_engine`` — the one mapping."""
+
+    #: field -> (CLI flags, Engine argument, expected value).  A field
+    #: added to ExecutionOptions without a row here fails the first
+    #: test; one the mapping drops fails the second.
+    ROWS = {
+        "backend": (["--backend", "ssh-loopback:3"], "pool",
+                    "ssh-loopback:3"),
+        "jobs": (["--jobs", "3"], "pool", "local:3"),
+        "store_dir": (["--store-dir", "{tmp}"], "store", "{tmp}"),
+        "no_store": (["--no-store"], "store", None),
+        "chunk_size": (["--chunk-size", "5"], "chunk_size", 5),
+        "max_pool_rebuilds": (["--max-pool-rebuilds", "7"],
+                              "max_pool_rebuilds", 7),
+        "straggler_factor": (["--straggler-factor", "2.5"],
+                             "straggler_factor", 2.5),
+        "schedule": (["--schedule", "fifo"], "schedule", "fifo"),
+        "cost_model_dir": (["--cost-model-dir", "{tmp}"],
+                           "cost_model_dir", "{tmp}"),
+    }
+
+    def test_every_field_has_a_row(self):
+        import dataclasses
+
+        from repro.sim.options import ExecutionOptions
+
+        fields = {f.name for f in dataclasses.fields(ExecutionOptions)}
+        assert set(self.ROWS) == fields
+
+    @pytest.mark.parametrize(
+        "entry", [["run", "db"], ["quick", "--benchmarks", "db"]]
+    )
+    @pytest.mark.parametrize("field", sorted(ROWS))
+    def test_field_reaches_the_engine(
+        self, entry, field, monkeypatch, tmp_path
+    ):
+        import repro.sim.experiment as experiment
+
+        flags, argument, expected = self.ROWS[field]
+        flags = [flag.format(tmp=tmp_path) for flag in flags]
+        if isinstance(expected, str):
+            expected = expected.format(tmp=tmp_path)
+        captured = {}
+
+        def recording_engine(**kwargs):
+            captured.update(kwargs)
+            raise _EngineBuilt
+
+        monkeypatch.setattr(experiment, "Engine", recording_engine)
+        with pytest.raises(_EngineBuilt):
+            main(entry + flags)
+        value = captured[argument]
+        if argument == "store" and value is not None:
+            value = str(value.root)
+        assert value == expected
+
+
 class TestStoreGC:
     @staticmethod
     def _load_tool():
@@ -172,14 +235,15 @@ class TestStoreGC:
         from repro.sim.store import ResultStore
 
         store_dir = tmp_path / "store"
-        store_dir.mkdir()
+        shard = store_dir / "ab"
+        shard.mkdir(parents=True)
         # A quarantined entry with its reason sidecar, plus crashed-
         # writer debris — exactly what a chaotic run leaves behind.
-        (store_dir / "db__hotspot__abc.json.corrupt").write_text("{trunc")
-        (store_dir / "db__hotspot__abc.json.corrupt.reason").write_text(
+        (shard / "db__hotspot__abc.json.corrupt").write_text("{trunc")
+        (shard / "db__hotspot__abc.json.corrupt.reason").write_text(
             "unreadable entry: JSONDecodeError\nquarantined: 1754000000\n"
         )
-        (store_dir / "db__hotspot__abc.jsonK7Q.tmp").write_text("{half")
+        (shard / "db__hotspot__abc.jsonK7Q.tmp").write_text("{half")
 
         store_gc = self._load_tool()
         assert store_gc.main(["--store-dir", str(store_dir), "--list"]) == 0
@@ -195,7 +259,7 @@ class TestStoreGC:
         ) == 0
         out = capsys.readouterr().out
         assert "+2 corrupt/tmp file(s)" in out
-        assert list(store_dir.iterdir()) == []
+        assert [p for p in store_dir.rglob("*") if p.is_file()] == []
         assert ResultStore(store_dir).corrupt_files() == []
 
     def test_max_bytes_prunes_lru_by_mtime(self, capsys, tmp_path):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.obs.events import Telemetry
+from repro.obs.events import SCHEDULE_PLANNED, Telemetry
 from repro.sim.config import ExperimentConfig
 from repro.sim.driver import RunSpec, execute
 from repro.sim.engine import Engine
@@ -103,15 +103,20 @@ class TestPersistentPool:
         assert reader.stats.simulations == 0
 
     def test_chunk_size_knob_is_honoured(self):
+        telemetry = Telemetry()
         cells = suite_cells(config())
         with Engine(
-            jobs=2, use_cache=False, memory_cache={}, chunk_size=2
+            jobs=2,
+            use_cache=False,
+            memory_cache={},
+            chunk_size=2,
+            telemetry=telemetry,
         ) as engine:
-            assert engine._chunks(list(range(len(cells)))) == [
-                [0, 1], [2, 3]
-            ]
             results = engine.run(cells).values()
         assert all(r is not None for r in results)
+        # Four cells at two per chunk: the round went out as two chunks.
+        (planned,) = telemetry.log.by_name(SCHEDULE_PLANNED)
+        assert planned.args["chunks"] == 2
 
 
 class TestSerialWarmStart:

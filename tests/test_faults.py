@@ -185,7 +185,7 @@ class TestFailurePolicies:
             ]
         )
         assert batch.degraded
-        assert batch.results == [None, None]
+        assert batch.values() == [None, None]
         assert [o.status for o in batch] == ["failed", "failed"]
         assert all("InjectedFault" in o.error for o in batch.outcomes)
         assert all(o.attempts == 2 for o in batch.outcomes)
@@ -388,7 +388,10 @@ class TestStoreQuarantine:
         Engine(store=store, memory_cache={}).run_one(
             RunSpec("db", "baseline", small_config)
         )
-        (tmp_path / "leftoverXYZ.tmp").write_text("debris")
+        # A crashed writer leaves its temp file inside the shard.
+        shard = store.shard_for("ab" * 32)
+        shard.mkdir()
+        (shard / "leftoverXYZ.tmp").write_text("debris")
         assert [p.name for p in store.stale_tmp_files()] == [
             "leftoverXYZ.tmp"
         ]

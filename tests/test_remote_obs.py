@@ -33,6 +33,7 @@ from repro.obs.remote import (
     rebase_start_us,
     snapshot_metrics,
 )
+from repro.sim import engine as engine_mod
 from repro.sim.config import ExperimentConfig
 from repro.sim.driver import RunSpec
 from repro.sim.engine import Engine
@@ -78,14 +79,18 @@ class TestBitIdentity:
             produced = engine.run(grid(config())).values()
         assert produced == reference
 
-    def test_truncated_capture_still_bit_identical(self, reference):
+    def test_truncated_capture_still_bit_identical(
+        self, reference, monkeypatch
+    ):
+        # The engine reads the cap when it builds each payload, so a
+        # small patched cap reaches the workers.
+        monkeypatch.setattr(engine_mod, "DEFAULT_CELL_EVENT_CAP", 4)
         telemetry = Telemetry()
         with Engine(
             pool="local:2",
             use_cache=False,
             memory_cache={},
             telemetry=telemetry,
-            remote_capture_events=4,
         ) as engine:
             produced = engine.run(grid(config())).values()
         assert produced == reference
@@ -179,19 +184,6 @@ class TestMergedTrace:
         assert worker_side, "worker metrics were not folded into the parent"
         assert telemetry.metrics.counter("vm.hotspots_detected").value > 0
 
-    def test_zero_cap_disables_worker_capture(self):
-        telemetry = Telemetry()
-        with Engine(
-            pool="local:2",
-            use_cache=False,
-            memory_cache={},
-            telemetry=telemetry,
-            remote_capture_events=0,
-        ) as engine:
-            engine.run(grid(config()))
-        assert not [t for t in telemetry.log.tracks() if "|" in t]
-        assert engine.stats.remote_events_dropped == 0
-
 
 class _IdentityAxis:
     """Telemetry stub whose wall axis is the identity function."""
@@ -278,7 +270,7 @@ class TestMetricsSnapshot:
 
 
 class TestChunkProtocol:
-    """run_chunk's payload/reply arity tolerance + unarmed accounting."""
+    """run_chunk's one payload/reply shape + unarmed accounting."""
 
     def _cells(self, scheme="baseline", budget=20_000):
         cfg = ExperimentConfig(max_instructions=budget)
@@ -288,7 +280,7 @@ class TestChunkProtocol:
         # No capture spec: the reply still carries the minimal snapshot
         # the scheduler's cost model feeds on (per-cell seconds and the
         # executor identity), but no telemetry cells.
-        reply = run_chunk((self._cells(), None, None))
+        reply = run_chunk((self._cells(), None, None, None))
         assert len(reply) == 3
         _, outcomes, chunk_info = reply
         assert outcomes[0][1] == "ok"
@@ -347,7 +339,7 @@ class TestChunkProtocol:
         reply: list = []
         thread = threading.Thread(
             target=lambda: reply.append(
-                run_chunk((self._cells(), 30.0, None))
+                run_chunk((self._cells(), 30.0, None, None))
             )
         )
         thread.start()

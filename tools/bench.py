@@ -80,7 +80,6 @@ import argparse
 import datetime
 import gc
 import json
-import os
 import platform
 import sys
 import tempfile
@@ -92,6 +91,7 @@ from repro.sim.config import ExperimentConfig
 from repro.sim.driver import RunSpec, execute
 from repro.sim.engine import Engine
 from repro.sim.experiment import run_suite
+from repro.sim.pools import available_cpus
 from repro.sim.store import ResultStore
 
 # The turbo cells reuse the statistical-equivalence harness from the
@@ -355,7 +355,7 @@ def bench_engine_cells(budget: int, repeats: int) -> Dict[str, object]:
             )
             engine2.close()
     n_cells = len(ENGINE_BENCHMARKS) * 3
-    host_cpus = os.cpu_count() or 1
+    host_cpus = available_cpus()
     out = {
         name: dict(
             timing, budget=budget, cells=n_cells, host_cpus=host_cpus
@@ -472,7 +472,7 @@ def bench_makespan_skew(budget: int, repeats: int) -> Dict[str, object]:
         "lpt_wall_s": lpt_wall,
         "speedup_wall": fifo_wall / lpt_wall,
         "lpt_predicted_makespan_s": predicted,
-        "host_cpus": os.cpu_count() or 1,
+        "host_cpus": available_cpus(),
     }
 
 
@@ -517,7 +517,7 @@ def bench_parallel_efficiency(
         "serial_wall_s": serial_wall,
         "parallel_wall_s": parallel_wall,
         "wall_ratio": serial_wall / parallel_wall,
-        "host_cpus": os.cpu_count() or 1,
+        "host_cpus": available_cpus(),
     }
 
 

@@ -5,6 +5,8 @@ block-granularity design is what makes the reproduction feasible in pure
 Python, and these benches quantify it and catch regressions.
 """
 
+import time
+
 import pytest
 
 from repro.sim.config import ExperimentConfig, MachineConfig, build_machine
@@ -23,13 +25,25 @@ def simulate(scheme: str) -> int:
 
 @pytest.mark.parametrize("scheme", ["baseline", "bbv", "hotspot"])
 def test_throughput_by_scheme(benchmark, scheme):
-    instructions = benchmark.pedantic(
-        simulate, args=(scheme,), rounds=3, iterations=1
-    )
+    seconds = []
+
+    def timed():
+        start = time.perf_counter()
+        instructions = simulate(scheme)
+        seconds.append(time.perf_counter() - start)
+        return instructions
+
+    instructions = benchmark.pedantic(timed, rounds=3, iterations=1)
     assert instructions >= BUDGET
+    # Under --benchmark-disable pytest-benchmark calls ``timed`` once and
+    # keeps no stats, so the mean comes from our own clock.
+    if benchmark.stats is None:
+        mean = sum(seconds) / len(seconds)
+    else:
+        mean = benchmark.stats.stats.mean
     # Regression floor: the simulator should stay above ~0.2 M
     # instructions/second even on slow machines.
-    assert benchmark.stats.stats.mean < BUDGET / 200_000
+    assert mean < BUDGET / 200_000
 
 
 def test_interpreter_only_throughput(benchmark):

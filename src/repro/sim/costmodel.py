@@ -23,8 +23,7 @@ idea of the paper's related work.
 Three history sources feed one model:
 
 * **online** — the engine calls :meth:`CostModel.observe` with each
-  completed cell's measured seconds (worker-side timing when available,
-  parent-side chunk time otherwise);
+  completed cell's worker-measured seconds;
 * **store bootstrap** — :meth:`CostModel.bootstrap_from_store` replays
   the ``meta`` blocks (``elapsed_s`` + cost key) that
   :class:`repro.sim.store.ResultStore` persists with each entry, so a
@@ -35,7 +34,8 @@ Three history sources feed one model:
   (``ExecutionOptions.cost_model_dir``).
 
 Estimates never influence *results* — only chunk packing, dispatch
-order, and straggler budgets.  A wildly wrong estimate can cost wall
+order, and straggler budgets: the model is the engine's only runtime
+estimator.  A wildly wrong estimate can cost wall
 clock, never correctness (docs/INTERNALS.md §18).
 """
 

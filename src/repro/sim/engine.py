@@ -59,10 +59,9 @@ parent process — they are not guaranteed picklable and are never cached.
 
 from __future__ import annotations
 
-import statistics
 import time
 import traceback as traceback_mod
-from concurrent.futures import FIRST_COMPLETED, wait
+from concurrent.futures import FIRST_COMPLETED, Future, wait
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
@@ -285,8 +284,8 @@ class EngineStats:
     cells_cost_estimated: int = 0
     #: Rounds packed cost-balanced (vs falling back to legacy chunking).
     rounds_lpt: int = 0
-    #: Last planned round's LPT makespan forecast vs what it measured
-    #: (seconds; 0.0 until a round with estimates completes).
+    #: Last cost-balanced (LPT) round's makespan forecast vs what that
+    #: round measured (seconds; 0.0 until such a round completes).
     predicted_makespan_s: float = 0.0
     actual_makespan_s: float = 0.0
 
@@ -317,12 +316,324 @@ ProgressCallback = Callable[[CellProgress], None]
 
 
 class _PoolBroken(Exception):
-    """Internal signal: the backend died; these cells were in flight."""
+    """Internal signal: the backend died mid-round.
 
-    def __init__(self, interrupted: List[int], cause: BaseException):
-        super().__init__(f"pool broken with {len(interrupted)} cells in flight")
-        self.interrupted = interrupted
+    The interrupted cells are whatever the round still holds in flight
+    (:meth:`_Round.in_flight_cells`).
+    """
+
+    def __init__(self, cause: BaseException):
+        super().__init__(f"pool broken: {cause!r}")
         self.cause = cause
+
+
+@dataclass
+class _Flight:
+    """One submitted chunk future of a pool round."""
+
+    chunk: List[int]
+    #: The other copy of a speculated chunk (set on both copies).
+    partner: Optional[Future] = None
+    #: True on the speculative copy, False on the primary.
+    speculative: bool = False
+    #: Clock reading at the first poll that saw the future running;
+    #: ``None`` while it is still queued.
+    running_since: Optional[float] = None
+
+
+class _Round:
+    """One pool round: every in-flight chunk future and its transitions.
+
+    Each future has one :class:`_Flight` record, and the distinct cells
+    those records carry are counted as they come and go, so progress
+    reports and crash recovery read the same set.  The engine's wait
+    loop (:meth:`Engine._run_round`) drives the transitions:
+    :meth:`submit` a chunk, :meth:`settle` a finished future, and
+    :meth:`speculate` on :meth:`stragglers`.  A transition that finds
+    the pool dead raises :class:`_PoolBroken`; the interrupted cells
+    are then :meth:`in_flight_cells`.
+
+    ``attempts``, ``lanes`` and ``submitted_at`` are per-batch maps
+    shared with the rounds before and after a pool rebuild, so retry
+    budgets and telemetry lanes survive crashes.
+    """
+
+    def __init__(
+        self,
+        engine: "Engine",
+        specs: Sequence[RunSpec],
+        cells: List[int],
+        results: List[Optional[RunResult]],
+        attempts: Dict[int, int],
+        lanes: Dict[int, int],
+        submitted_at: Dict[int, float],
+    ):
+        self.engine = engine
+        self.pool = engine.pool
+        self.specs = specs
+        self.cells = list(cells)
+        self.results = results
+        self.attempts = attempts
+        self.lanes = lanes
+        self.submitted_at = submitted_at
+        self.flights: Dict[Future, _Flight] = {}
+        #: Cell index -> number of live flights carrying it.
+        self._holds: Dict[int, int] = {}
+
+    def in_flight_cells(self) -> List[int]:
+        """Distinct cells submitted and not yet settled, ascending."""
+        return sorted(self._holds)
+
+    def _hold(self, chunk: List[int], step: int) -> None:
+        for index in chunk:
+            count = self._holds.get(index, 0) + step
+            if count:
+                self._holds[index] = count
+            else:
+                del self._holds[index]
+        self.engine._in_flight = len(self._holds)
+
+    def _dispatch(self, flight: _Flight) -> Future:
+        """Hand one chunk to the pool under a new flight record."""
+        cells = [(i, self.specs[i], self.attempts[i]) for i in flight.chunk]
+        # Held before submitting, so a pool found dead here still counts
+        # the chunk as interrupted.
+        self._hold(flight.chunk, +1)
+        try:
+            future = self.pool.submit_chunk(
+                self.engine._chunk_payload(cells)
+            )
+        except self.pool.broken_exceptions as error:
+            raise _PoolBroken(error) from error
+        self.flights[future] = flight
+        return future
+
+    def submit(self, chunk: List[int]) -> None:
+        """Start the next attempt of every cell in ``chunk``."""
+        engine = self.engine
+        telemetry = engine.telemetry
+        lane = engine._submissions % max(1, self.pool.workers)
+        engine._submissions += 1
+        for index in chunk:
+            self.attempts[index] += 1
+            self.lanes.setdefault(index, lane)
+            self.submitted_at[index] = telemetry.now_us()
+            telemetry.emit_wall(
+                CELL_START,
+                track=f"worker:{self.lanes[index]}",
+                ts=self.submitted_at[index],
+                benchmark=self.specs[index].benchmark_name,
+                scheme=self.specs[index].scheme,
+                attempt=self.attempts[index],
+            )
+        self._dispatch(_Flight(list(chunk)))
+
+    def settle(self, future: Future) -> None:
+        """Resolve one finished future.
+
+        A copy whose partner already won is ignored.  A copy that
+        failed while its partner is still live is dropped: the partner
+        carries the cells at the same attempt numbers, so no retry
+        budget is spent.  A copy that succeeds first wins the race.
+        """
+        flight = self.flights.pop(future, None)
+        if flight is None:
+            return
+        error = future.exception()
+        if isinstance(error, self.pool.broken_exceptions):
+            raise _PoolBroken(error) from error  # chunk still held
+        self._hold(flight.chunk, -1)
+        partner = flight.partner
+        if partner is not None and partner in self.flights:
+            if error is not None:
+                self.flights[partner].partner = None
+                return
+            self._win_race(future, flight, partner)
+        self._route(future, flight.chunk, error)
+
+    def _win_race(
+        self, future: Future, flight: _Flight, partner: Future
+    ) -> None:
+        """First result wins: cancel the partner copy, and assert the
+        two bit-identical when the partner has finished as well."""
+        engine = self.engine
+        self._hold(self.flights.pop(partner).chunk, -1)
+        cancelled = partner.cancel()
+        if not cancelled and partner.done() and partner.exception() is None:
+            self._assert_bit_identical(future, partner, flight.chunk)
+        if not flight.speculative:
+            return
+        engine.stats.speculations_won += 1
+        engine.telemetry.emit_wall(
+            SPECULATION_WON,
+            cells=self._cell_names(flight.chunk),
+            loser_cancelled=cancelled,
+        )
+        engine.telemetry.metrics.counter("engine.speculations_won").inc()
+        if engine.recorder is not None:
+            engine.recorder.note(
+                "speculation_won",
+                cells=len(flight.chunk),
+                loser_cancelled=cancelled,
+            )
+
+    def _assert_bit_identical(
+        self, winner: Future, loser: Future, chunk: List[int]
+    ) -> None:
+        """Both speculation copies finished: their per-cell results must
+        be bit-identical (determinism is the contract every backend is
+        tested against; a divergence here is a real bug, never noise to
+        paper over)."""
+        winner_map = {i: (s, v) for i, s, v in winner.result()[1]}
+        loser_map = {i: (s, v) for i, s, v in loser.result()[1]}
+        for index in chunk:
+            w_status, w_value = winner_map.get(index, (None, None))
+            l_status, l_value = loser_map.get(index, (None, None))
+            if w_status == "ok" and l_status == "ok" and w_value != l_value:
+                spec = self.specs[index]
+                raise RuntimeError(
+                    "speculative re-execution of cell "
+                    f"({spec.benchmark_name!r}, {spec.scheme!r}) diverged "
+                    "from the primary — results must be bit-identical "
+                    "across hosts (determinism contract violated)"
+                )
+
+    def _route(
+        self, future: Future, chunk: List[int], error: Optional[BaseException]
+    ) -> None:
+        """Feed a settled chunk's per-cell outcomes to the engine and
+        resubmit retried cells as single-cell chunks, so a flaky cell
+        cannot hold healthy chunk-mates hostage."""
+        engine = self.engine
+        telemetry = engine.telemetry
+        cell_times: Dict[int, float] = {}
+        executed_by = None
+        if error is not None:
+            # The chunk itself failed (not one of its cells — e.g. an
+            # unpicklable payload, or a HostDownError for a chunk
+            # stranded on a dead host): every member goes through the
+            # normal retry machinery, which resubmits to live workers.
+            if isinstance(error, HostDownError):
+                engine.stats.cells_rerouted += len(chunk)
+                telemetry.metrics.counter("engine.cells_rerouted").inc(
+                    len(chunk)
+                )
+            outcomes = [(index, "error", error) for index in chunk]
+        else:
+            warmup, outcomes, chunk_info = future.result()
+            # Cost-model feed: worker-measured per-cell seconds and the
+            # executor's identity (host#incarnation over ssh, host#pid
+            # otherwise).
+            cell_times = dict(chunk_info["cell_times"])
+            executed_by = chunk_info.get("host_id") or chunk_info.get("origin")
+            engine.cost_model.observe_host(
+                executed_by, len(chunk), chunk_info["service_s"]
+            )
+            engine._merge_worker_snapshot(chunk_info, chunk, self.submitted_at)
+            if warmup is not None:
+                telemetry.emit_wall(WORKER_WARMUP, **warmup)
+                telemetry.metrics.counter("engine.worker_warmups").inc()
+        retry: List[int] = []
+        for index, status, value in outcomes:
+            spec = self.specs[index]
+            track = f"worker:{self.lanes[index]}"
+            if status != "ok":
+                if engine._retry_or_fail(
+                    spec, index, self.attempts[index], value, track=track
+                ):
+                    retry.append(index)
+                continue
+            started = self.submitted_at[index]
+            telemetry.emit_wall(
+                CELL_DONE,
+                track=track,
+                ts=started,
+                dur=telemetry.now_us() - started,
+                benchmark=spec.benchmark_name,
+                scheme=spec.scheme,
+            )
+            engine._record_success(
+                spec, index, value, self.attempts[index], self.results,
+                elapsed_s=cell_times.get(index), executed_by=executed_by,
+            )
+        for index in retry:
+            self.submit([index])
+
+    def stragglers(
+        self, factor: float, now: float
+    ) -> List[Tuple[Future, float, float]]:
+        """Untwinned chunks running past their budget, as ``(future,
+        elapsed_s, budget_s)``.
+
+        A chunk's clock starts at the first call that sees its future
+        running, because the worker-measured estimates exclude queue
+        wait.  Its budget is ``factor`` times the sum of its cells'
+        cost-model estimates, read now (the model learns online), with
+        unknown cells filled by the median of the round's known
+        estimates.  A round with no estimate at all has no stragglers.
+        """
+        candidates = []
+        for future, flight in self.flights.items():
+            if flight.running_since is None and future.running():
+                flight.running_since = now
+            if flight.partner is None and flight.running_since is not None:
+                candidates.append((future, flight))
+        if not candidates:
+            return []
+        model = self.engine.cost_model
+        costs, _ = schedule_mod.fill_estimates(
+            self.cells,
+            {i: model.estimate(self.specs[i]) for i in self.cells},
+        )
+        if not costs:
+            return []
+        found = []
+        for future, flight in candidates:
+            elapsed = now - flight.running_since
+            budget = factor * sum(costs[i] for i in flight.chunk)
+            if elapsed > budget:
+                found.append((future, elapsed, budget))
+        return found
+
+    def speculate(self, factor: float, now: float) -> None:
+        """Twin stragglers onto idle worker slots (docs/INTERNALS.md §16).
+
+        A twin re-runs the same cells at the *same* attempt numbers (no
+        retry budget consumed, no second ``cell_start``): speculation
+        is pure scheduling, so the fault plan's per-attempt decisions
+        replay identically while host-keyed delays redraw on the new
+        host.
+        """
+        engine = self.engine
+        telemetry = engine.telemetry
+        for future, elapsed, budget in self.stragglers(factor, now):
+            if len(self.flights) >= max(1, self.pool.workers):
+                return  # no idle worker to speculate into
+            flight = self.flights[future]
+            flight.partner = self._dispatch(
+                _Flight(flight.chunk, partner=future, speculative=True)
+            )
+            engine.stats.stragglers_detected += 1
+            telemetry.emit_wall(
+                STRAGGLER_DETECTED,
+                cells=self._cell_names(flight.chunk),
+                elapsed_s=round(elapsed, 4),
+                estimate_s=round(budget, 4),
+            )
+            telemetry.metrics.counter("engine.stragglers_detected").inc()
+            if engine.recorder is not None:
+                engine.recorder.note(
+                    "straggler_detected",
+                    cells=len(flight.chunk),
+                    elapsed_s=round(elapsed, 4),
+                    estimate_s=round(budget, 4),
+                )
+
+    def _cell_names(self, chunk: List[int]) -> List[List[str]]:
+        return [
+            [self.specs[i].benchmark_name, self.specs[i].scheme]
+            for i in chunk
+        ]
 
 
 class Engine:
@@ -360,13 +671,12 @@ class Engine:
         :class:`BatchExecutionError`.
     straggler_factor:
         Straggler mitigation (docs/INTERNALS.md §16): when set, a
-        chunk whose runtime exceeds ``straggler_factor`` times the
-        robust per-chunk estimate (median + 3×MAD of completed cell
-        durations) is speculatively re-submitted to an idle worker;
-        first result wins, the loser is cancelled, and when both
-        complete their results are asserted bit-identical.  ``None``
-        (default) disables speculation.  Only meaningful on parallel
-        backends with spare capacity.
+        chunk that has been running longer than ``straggler_factor``
+        times its cells' summed cost-model estimates is speculatively
+        re-submitted to an idle worker; first result wins, the loser is
+        cancelled, and when both complete their results are asserted
+        bit-identical.  ``None`` (default) disables speculation.  Only
+        meaningful on parallel backends with spare capacity.
     resume:
         Crash-safe resume (docs/INTERNALS.md §16): a flight-recorder
         manifest path from a previous (killed) run.  The manifest is
@@ -931,10 +1241,7 @@ class Engine:
         """Terminal failure of one cell under skip/partial policies."""
         if isinstance(error, CellTimeout):
             status = "timeout"
-        elif isinstance(
-            error,
-            (_PoolBroken, HostDownError) + self.pool.broken_exceptions,
-        ):
+        elif isinstance(error, (HostDownError,) + self.pool.broken_exceptions):
             status = "crashed"
         else:
             status = "failed"
@@ -1151,16 +1458,15 @@ class Engine:
         to_run = list(indices)
         rebuilds = 0
         while to_run:
+            round_ = _Round(
+                self, specs, to_run, results, attempts, lanes, submitted_at
+            )
             try:
-                self._pool_round(
-                    specs, to_run, results, attempts, lanes, submitted_at
-                )
+                self._run_round(round_)
                 return
             except _PoolBroken as broken:
                 self._drain_health()
-                to_run = self._survivors_of_crash(
-                    specs, broken, attempts, results
-                )
+                to_run = self._survivors_of_crash(round_, broken.cause)
                 if not to_run:
                     return
                 rebuilds += 1
@@ -1187,37 +1493,35 @@ class Engine:
                     return
 
     def _survivors_of_crash(
-        self,
-        specs: Sequence[RunSpec],
-        broken: _PoolBroken,
-        attempts: Dict[int, int],
-        results: List[Optional[RunResult]],
+        self, round_: _Round, cause: BaseException
     ) -> List[int]:
-        """Split crash-interrupted cells into resubmittable vs. exhausted."""
+        """Split the round's crash-interrupted cells into resubmittable
+        vs. exhausted."""
+        interrupted = round_.in_flight_cells()
         telemetry = self.telemetry
         self.stats.worker_crashes += 1
         telemetry.emit_wall(
             WORKER_CRASH,
             backend=self.pool.name,
-            interrupted=len(broken.interrupted),
-            error=repr(broken.cause)[:200],
+            interrupted=len(interrupted),
+            error=repr(cause)[:200],
         )
         telemetry.metrics.counter("engine.worker_crashes").inc()
         if self.recorder is not None:
             self.recorder.note(
                 "worker_crash",
                 backend=self.pool.name,
-                interrupted=len(broken.interrupted),
-                error=repr(broken.cause)[:200],
+                interrupted=len(interrupted),
+                error=repr(cause)[:200],
             )
         return [
             index
-            for index in broken.interrupted
+            for index in interrupted
             if self._retry_or_fail(
-                specs[index],
+                round_.specs[index],
                 index,
-                attempts[index],
-                broken.cause,
+                round_.attempts[index],
+                cause,
                 reason="worker_crash",
             )
         ]
@@ -1255,13 +1559,12 @@ class Engine:
 
     def _plan_round(
         self, specs: Sequence[RunSpec], indices: List[int]
-    ) -> Tuple["schedule_mod.RoundPlan", Dict[int, Optional[float]]]:
+    ) -> "schedule_mod.RoundPlan":
         """Lay out one pool round from the cost model's estimates.
 
-        Returns the plan plus the per-cell estimate map (the straggler
-        budget reuses it).  Under ``schedule="fifo"`` — or with no
-        usable history — this reproduces the legacy partition exactly;
-        see :func:`repro.sim.schedule.plan_round`.
+        Under ``schedule="fifo"`` — or with no usable history — this
+        reproduces the legacy partition exactly; see
+        :func:`repro.sim.schedule.plan_round`.
         """
         estimates: Dict[int, Optional[float]] = {}
         slot_weights = None
@@ -1291,8 +1594,7 @@ class Engine:
         self.stats.cells_cost_estimated += plan.estimated_cells
         if plan.mode == "lpt":
             self.stats.rounds_lpt += 1
-            self.stats.predicted_makespan_s = plan.predicted_makespan_s
-        return plan, estimates
+        return plan
 
     def _chunk_payload(self, cells: List[Tuple]) -> ChunkPayload:
         """The one chunk wire shape: ``(cells, timeout, fault_plan,
@@ -1338,344 +1640,56 @@ class Engine:
         )
         self.stats.remote_events_dropped += merged["dropped"]
 
-    def _pool_round(
-        self,
-        specs: Sequence[RunSpec],
-        indices: List[int],
-        results: List[Optional[RunResult]],
-        attempts: Dict[int, int],
-        lanes: Dict[int, int],
-        submitted_at: Dict[int, float],
-    ) -> None:
-        """One round against the persistent backend; raises
+    def _run_round(self, round_: _Round) -> None:
+        """Drive one round against the persistent backend; raises
         :class:`_PoolBroken` on worker death.
 
-        Cells go out in chunks (shared timeout/plan payload, per-cell
-        outcomes back); retries are resubmitted as single-cell chunks so
-        a flaky cell cannot hold healthy chunk-mates hostage.  Any
-        failure path discards the backend fail-fast — it may hold
-        in-flight work of a poisoned batch and must not leak into the
-        next one.
+        Cells go out in planned chunks (shared timeout/plan payload,
+        per-cell outcomes back).  Any failure path discards the backend
+        fail-fast — it may hold in-flight work of a poisoned batch and
+        must not leak into the next one; the clean exit keeps the warm
+        pool alive for the next batch.
         """
-        telemetry = self.telemetry
-        pool = self._ensure_pool(specs, indices)
-        broken_types = pool.broken_exceptions
-        plan, estimates = self._plan_round(specs, indices)
+        pool = self._ensure_pool(round_.specs, round_.cells)
+        plan = self._plan_round(round_.specs, round_.cells)
         round_t0 = time.perf_counter()
-        futures: Dict = {}
-        #: Straggler-mitigation state (docs/INTERNALS.md §16): wall-clock
-        #: start per chunk future, primary↔twin links (both directions),
-        #: the twins themselves, and completed per-cell durations feeding
-        #: the median+MAD runtime estimate.
-        chunk_started: Dict = {}
-        twins: Dict = {}
-        speculative: set = set()
-        durations: List[float] = []
+        factor = self.straggler_factor
+        # With speculation enabled the wait polls so a straggling chunk
+        # is noticed while its future is still pending.
+        poll = None if factor is None else 0.05
         try:
-
-            def _submit(chunk: List[int]) -> None:
-                lane = self._submissions % max(1, pool.workers)
-                self._submissions += 1
-                cells = []
-                for index in chunk:
-                    attempts[index] += 1
-                    lanes.setdefault(index, lane)
-                    submitted_at[index] = telemetry.now_us()
-                    telemetry.emit_wall(
-                        CELL_START,
-                        track=f"worker:{lanes[index]}",
-                        ts=submitted_at[index],
-                        benchmark=specs[index].benchmark_name,
-                        scheme=specs[index].scheme,
-                        attempt=attempts[index],
-                    )
-                    cells.append((index, specs[index], attempts[index]))
-                future = pool.submit_chunk(self._chunk_payload(cells))
-                futures[future] = list(chunk)
-                chunk_started[future] = time.perf_counter()
-                _sync_in_flight()
-
-            def _sync_in_flight() -> None:
-                # Distinct cells, so a speculation twin never double-counts.
-                self._in_flight = len(
-                    {i for members in futures.values() for i in members}
-                )
-
-            def _broken(
-                chunk: List[int], cause: BaseException
-            ) -> _PoolBroken:
-                interrupted = set(chunk)
-                for in_flight in futures.values():
-                    interrupted.update(in_flight)
-                futures.clear()
-                self._in_flight = 0
-                return _PoolBroken(sorted(interrupted), cause)
-
-            def _speculate(
-                straggler, chunk: List[int], elapsed: float, estimate: float
-            ) -> None:
-                """Twin a straggling chunk onto an idle worker.
-
-                The twin re-runs the same cells at the *same* attempt
-                numbers (no retry budget consumed, no second
-                ``cell_start``) — speculation is pure scheduling, so the
-                fault plan's per-attempt decisions replay identically
-                while host-keyed delays redraw on the new host.
-                """
-                cells = [
-                    (index, specs[index], attempts[index]) for index in chunk
-                ]
-                try:
-                    twin = pool.submit_chunk(self._chunk_payload(cells))
-                except broken_types as error:
-                    raise _broken(chunk, error) from error
-                futures[twin] = list(chunk)
-                chunk_started[twin] = time.perf_counter()
-                twins[straggler] = twin
-                twins[twin] = straggler
-                speculative.add(twin)
-                self.stats.stragglers_detected += 1
-                telemetry.emit_wall(
-                    STRAGGLER_DETECTED,
-                    cells=[
-                        [specs[i].benchmark_name, specs[i].scheme]
-                        for i in chunk
-                    ],
-                    elapsed_s=round(elapsed, 4),
-                    estimate_s=round(estimate, 4),
-                )
-                telemetry.metrics.counter("engine.stragglers_detected").inc()
-                if self.recorder is not None:
-                    self.recorder.note(
-                        "straggler_detected",
-                        cells=len(chunk),
-                        elapsed_s=round(elapsed, 4),
-                        estimate_s=round(estimate, 4),
-                    )
-
-            def _check_stragglers() -> None:
-                factor = self.straggler_factor
-                if factor is None or len(durations) < 3:
-                    return  # no robust estimate yet
-                median = statistics.median(durations)
-                spread = statistics.median(
-                    [abs(d - median) for d in durations]
-                )
-                baseline = median + 3.0 * spread
-                if baseline <= 0.0:
-                    return
-                now = time.perf_counter()
-                for straggler, chunk in list(futures.items()):
-                    if len(futures) >= max(1, pool.workers):
-                        return  # no idle worker to speculate into
-                    if straggler in twins:
-                        continue  # already twinned (or is itself a twin)
-                    elapsed = now - chunk_started[straggler]
-                    # Estimate-relative budget (docs/INTERNALS.md §18):
-                    # a chunk of cells *predicted* to run 10× longer
-                    # gets a ~10× budget instead of being flagged at
-                    # the flat median — and estimates can only extend
-                    # the legacy budget, never shrink it.
-                    estimate = schedule_mod.straggler_budget(
-                        factor, baseline, chunk, estimates
-                    )
-                    if elapsed > estimate:
-                        _speculate(straggler, chunk, elapsed, estimate)
-
-            def _assert_bit_identical(winner, loser, chunk: List[int]) -> None:
-                """Both speculation copies finished: their per-cell results
-                must be bit-identical (determinism is the contract every
-                backend is tested against; a divergence here is a real
-                bug, never noise to paper over)."""
-                winner_map = {i: (s, v) for i, s, v in winner.result()[1]}
-                loser_map = {i: (s, v) for i, s, v in loser.result()[1]}
-                for index in chunk:
-                    w_status, w_value = winner_map.get(index, (None, None))
-                    l_status, l_value = loser_map.get(index, (None, None))
-                    if w_status == "ok" and l_status == "ok" \
-                            and w_value != l_value:
-                        raise RuntimeError(
-                            "speculative re-execution of cell "
-                            f"({specs[index].benchmark_name!r}, "
-                            f"{specs[index].scheme!r}) diverged from the "
-                            "primary — results must be bit-identical "
-                            "across hosts (determinism contract violated)"
-                        )
-
             for chunk in plan.chunks:
-                try:
-                    _submit(chunk)
-                except broken_types as error:
-                    raise _broken(
-                        chunk, error
-                    ) from error  # pool died mid-submission
-            # With speculation enabled the wait polls so a straggling
-            # chunk is noticed while its future is still pending.
-            poll = 0.05 if self.straggler_factor is not None else None
-            while futures:
+                round_.submit(chunk)
+            while round_.flights:
                 finished, _ = wait(
-                    list(futures), timeout=poll, return_when=FIRST_COMPLETED
+                    list(round_.flights),
+                    timeout=poll,
+                    return_when=FIRST_COMPLETED,
                 )
                 self._drain_health()
                 for future in finished:
-                    if future not in futures:
-                        continue  # loser of an already-settled race
-                    chunk = futures.pop(future)
-                    started = chunk_started.pop(future, None)
-                    partner = twins.pop(future, None)
-                    if partner is not None:
-                        twins.pop(partner, None)
-                    chunk_error = future.exception()
-                    if isinstance(chunk_error, broken_types):
-                        raise _broken(chunk, chunk_error) from chunk_error
-                    if (
-                        chunk_error is not None
-                        and partner is not None
-                        and partner in futures
-                    ):
-                        # One speculation copy died (e.g. HostDownError —
-                        # its host's breaker opened) while the other is
-                        # still live: drop this copy silently; the
-                        # survivor carries the cells at the same attempt
-                        # numbers.
-                        _sync_in_flight()
-                        continue
-                    if (
-                        chunk_error is None
-                        and partner is not None
-                        and partner in futures
-                    ):
-                        # First result wins the speculation race.
-                        futures.pop(partner)
-                        chunk_started.pop(partner, None)
-                        cancelled = partner.cancel()
-                        if (
-                            not cancelled
-                            and partner.done()
-                            and partner.exception() is None
-                        ):
-                            _assert_bit_identical(future, partner, chunk)
-                        if future in speculative:
-                            self.stats.speculations_won += 1
-                            telemetry.emit_wall(
-                                SPECULATION_WON,
-                                cells=[
-                                    [
-                                        specs[i].benchmark_name,
-                                        specs[i].scheme,
-                                    ]
-                                    for i in chunk
-                                ],
-                                loser_cancelled=cancelled,
-                            )
-                            telemetry.metrics.counter(
-                                "engine.speculations_won"
-                            ).inc()
-                            if self.recorder is not None:
-                                self.recorder.note(
-                                    "speculation_won",
-                                    cells=len(chunk),
-                                    loser_cancelled=cancelled,
-                                )
-                    if chunk_error is not None:
-                        # The chunk itself failed (not one of its cells —
-                        # e.g. an unpicklable payload, or a HostDownError
-                        # for a chunk stranded on a dead host): feed the
-                        # error to every member through the normal retry
-                        # machinery, which resubmits to surviving workers.
-                        if isinstance(chunk_error, HostDownError):
-                            self.stats.cells_rerouted += len(chunk)
-                            telemetry.metrics.counter(
-                                "engine.cells_rerouted"
-                            ).inc(len(chunk))
-                        warmup = None
-                        outcomes = [
-                            (index, "error", chunk_error) for index in chunk
-                        ]
-                        cell_times = {}
-                        executed_by = None
-                    else:
-                        if started is not None and chunk:
-                            per_cell = (
-                                time.perf_counter() - started
-                            ) / len(chunk)
-                            durations.extend([per_cell] * len(chunk))
-                        warmup, outcomes, chunk_info = future.result()
-                        # Cost-model feed: worker-measured per-cell
-                        # seconds and the executor's identity
-                        # (host#incarnation over ssh, host#pid otherwise).
-                        cell_times = dict(chunk_info["cell_times"])
-                        executed_by = (
-                            chunk_info.get("host_id")
-                            or chunk_info.get("origin")
-                        )
-                        self.cost_model.observe_host(
-                            executed_by, len(chunk), chunk_info["service_s"]
-                        )
-                        self._merge_worker_snapshot(
-                            chunk_info, chunk, submitted_at
-                        )
-                    if warmup is not None:
-                        telemetry.emit_wall(WORKER_WARMUP, **warmup)
-                        telemetry.metrics.counter(
-                            "engine.worker_warmups"
-                        ).inc()
-                    retry: List[int] = []
-                    for index, status, value in outcomes:
-                        spec = specs[index]
-                        track = f"worker:{lanes[index]}"
-                        if status == "ok":
-                            telemetry.emit_wall(
-                                CELL_DONE,
-                                track=track,
-                                ts=submitted_at[index],
-                                dur=telemetry.now_us() - submitted_at[index],
-                                benchmark=spec.benchmark_name,
-                                scheme=spec.scheme,
-                            )
-                            self._record_success(
-                                spec,
-                                index,
-                                value,
-                                attempts[index],
-                                results,
-                                elapsed_s=cell_times.get(index),
-                                executed_by=executed_by,
-                            )
-                            continue
-                        if self._retry_or_fail(
-                            spec, index, attempts[index], value, track=track
-                        ):
-                            retry.append(index)
-                    for index in retry:
-                        try:
-                            _submit([index])
-                        except broken_types as pool_error:
-                            raise _broken(
-                                [index], pool_error
-                            ) from pool_error
-                    _sync_in_flight()
-                _check_stragglers()
+                    round_.settle(future)
+                if factor is not None:
+                    round_.speculate(factor, time.perf_counter())
             self._drain_health()
-            actual_s = time.perf_counter() - round_t0
-            self.stats.actual_makespan_s += actual_s
-            telemetry.emit_wall(
-                SCHEDULE_PLANNED,
-                backend=pool.name,
-                mode=plan.mode,
-                chunks=len(plan.chunks),
-                cells=len(indices),
-                estimated_cells=plan.estimated_cells,
-                weighted=plan.slot_weights is not None,
-                predicted_makespan_s=round(plan.predicted_makespan_s, 4),
-                actual_makespan_s=round(actual_s, 4),
-            )
-            telemetry.metrics.counter("engine.rounds_planned").inc()
         except BaseException:
-            # Fatal exits (CellExecutionError, _PoolBroken) must not sit
-            # waiting for in-flight cells of a poisoned batch, and the
-            # backend itself is suspect: drop it fail-fast.  The clean
-            # exit keeps the warm pool alive for the next batch.
             self._in_flight = 0
-            self.pool.close(fail_fast=True)
+            pool.close(fail_fast=True)
             raise
+        actual_s = time.perf_counter() - round_t0
+        if plan.mode == "lpt":
+            # The stats pair describes the last cost-balanced round.
+            self.stats.predicted_makespan_s = plan.predicted_makespan_s
+            self.stats.actual_makespan_s = actual_s
+        self.telemetry.emit_wall(
+            SCHEDULE_PLANNED,
+            backend=pool.name,
+            mode=plan.mode,
+            chunks=len(plan.chunks),
+            cells=len(round_.cells),
+            estimated_cells=plan.estimated_cells,
+            weighted=plan.slot_weights is not None,
+            predicted_makespan_s=round(plan.predicted_makespan_s, 4),
+            actual_makespan_s=round(actual_s, 4),
+        )
+        self.telemetry.metrics.counter("engine.rounds_planned").inc()

@@ -46,8 +46,8 @@ class ExecutionOptions:
     #: Pool rebuilds per batch before degrading to serial.
     max_pool_rebuilds: int = 3
     #: Straggler mitigation: speculatively re-submit a chunk running
-    #: longer than this multiple of the robust runtime estimate
-    #: (``None`` = disabled; docs/INTERNALS.md §16).
+    #: longer than this multiple of its cells' summed cost-model
+    #: estimates (``None`` = disabled; docs/INTERNALS.md §16).
     straggler_factor: Optional[float] = None
     #: Chunk-planning mode (docs/INTERNALS.md §18): ``"lpt"`` (default)
     #: packs chunks by estimated cost, longest first, once the cost
@@ -129,8 +129,8 @@ class ExecutionOptions:
             default=None,
             metavar="X",
             help="speculatively re-submit a chunk running longer than X "
-            "times the robust per-chunk runtime estimate; first result "
-            "wins, results stay bit-identical (default: disabled)",
+            "times its cells' summed cost-model runtime estimates; first "
+            "result wins, results stay bit-identical (default: disabled)",
         )
         parser.add_argument(
             "--schedule",

@@ -25,6 +25,11 @@ This module plans one pool round from the cost model's estimates
   descending estimated-cost order, so the heaviest work starts first
   and the tail of the round is made of light chunks.
 
+Unknown cells in a round are costed at the median of the known
+estimates (:func:`fill_estimates`).  The engine's straggler check sums
+the same filled costs into per-chunk speculation budgets, so the
+planner and the speculation rule read one estimator.
+
 Planning is **semantics-free by construction**: a plan only permutes
 *which cells share a pickled payload* and *the order payloads enter the
 queue*.  Results land by batch index, every cell still runs exactly
@@ -43,7 +48,7 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 #: Planner modes (``ExecutionOptions.schedule``).
 SCHEDULE_MODES = ("lpt", "fifo")
@@ -129,6 +134,28 @@ def predict_makespan(
     return max(finish) if finish else 0.0
 
 
+def fill_estimates(
+    indices: Sequence[int], estimates: Dict[int, Optional[float]]
+) -> Tuple[Dict[int, float], int]:
+    """Per-cell seconds for ``indices``, plus how many were known.
+
+    A cell's own positive estimate is used as is; unknown cells are
+    filled with the median of the known ones.  With nothing known the
+    map is empty.  The planner packs with these costs and the engine's
+    straggler check sums them into per-chunk budgets, so both read the
+    same fill rule.
+    """
+    known = {
+        i: float(estimates[i])
+        for i in indices
+        if estimates.get(i) is not None and estimates[i] > 0
+    }
+    if not known:
+        return {}, 0
+    fill = statistics.median(known.values())
+    return {i: known.get(i, fill) for i in indices}, len(known)
+
+
 def plan_round(
     indices: List[int],
     estimates: Dict[int, Optional[float]],
@@ -147,17 +174,13 @@ def plan_round(
     median estimate.
     """
     indices = list(indices)
-    known = {
-        i: float(estimates[i])
-        for i in indices
-        if estimates.get(i) is not None and estimates[i] > 0
-    }
+    cost, known = fill_estimates(indices, estimates)
     if schedule not in SCHEDULE_MODES:
         raise ValueError(
             f"schedule must be one of {SCHEDULE_MODES}, got {schedule!r}"
         )
     lpt = schedule == "lpt"
-    coverage = (len(known) / len(indices)) if indices else 0.0
+    coverage = (known / len(indices)) if indices else 0.0
     if (
         not lpt
         or len(indices) <= 1
@@ -169,11 +192,8 @@ def plan_round(
             chunks=chunks,
             chunk_costs=[0.0] * len(chunks),
             mode="fifo" if not lpt else "cold",
-            estimated_cells=len(known),
+            estimated_cells=known,
         )
-
-    fill = statistics.median(known.values())
-    cost = {i: known.get(i, fill) for i in indices}
 
     # Same chunk *count* as the legacy rule (explicit chunk_size still
     # honoured), so enabling the scheduler changes packing, not payload
@@ -218,52 +238,9 @@ def plan_round(
         chunks=chunks,
         chunk_costs=chunk_costs,
         mode="lpt",
-        estimated_cells=len(known),
+        estimated_cells=known,
         predicted_makespan_s=predict_makespan(
             chunk_costs, workers, slot_weights
         ),
         slot_weights=list(slot_weights) if slot_weights else None,
     )
-
-
-def straggler_budget(
-    factor: float,
-    baseline_per_cell: float,
-    chunk: Sequence[int],
-    estimates: Dict[int, Optional[float]],
-) -> float:
-    """Estimate-relative speculation budget for one in-flight chunk.
-
-    The legacy budget was flat: ``factor * baseline * len(chunk)`` with
-    ``baseline`` the median+3×MAD of *completed* per-cell durations —
-    which flags any cell predicted to run long as a straggler the
-    moment it exceeds ~the median.  Here the flat budget is scaled by
-    the chunk's predicted cost relative to the round's median estimate,
-    so a chunk of 10×-predicted cells gets a ~10× budget.
-
-    The scale is clamped at ≥ 1.0: estimates may *extend* a budget
-    (fewer pointless speculations — pure wall-clock win) but never
-    shrink it below the legacy value, so a wildly wrong low estimate
-    cannot make speculation fire earlier than it ever did.  Speculation
-    itself remains result-safe regardless (first-result-wins,
-    bit-identity asserted — docs/INTERNALS.md §16).
-    """
-    flat = factor * baseline_per_cell * len(chunk)
-    known = [
-        float(estimates[i])
-        for i in estimates
-        if estimates[i] is not None and estimates[i] > 0
-    ]
-    if not known or not chunk:
-        return flat
-    median = statistics.median(known)
-    if median <= 0:
-        return flat
-    chunk_est = sum(
-        float(estimates[i])
-        if estimates.get(i) is not None and estimates[i] > 0
-        else median
-        for i in chunk
-    )
-    relative = chunk_est / (median * len(chunk))
-    return flat * max(1.0, relative)

@@ -118,6 +118,27 @@ class TestPersistentPool:
         (planned,) = telemetry.log.by_name(SCHEDULE_PLANNED)
         assert planned.args["chunks"] == 2
 
+    def test_makespan_stats_describe_the_last_lpt_round(self):
+        # A cold round (no history yet) then a cost-balanced one: the
+        # predicted/actual pair must both come from the LPT round, not
+        # sum the cold round's wall-clock into "actual".
+        telemetry = Telemetry()
+        cells = suite_cells(config())
+        with Engine(
+            jobs=2, use_cache=False, memory_cache={}, telemetry=telemetry
+        ) as engine:
+            engine.run(cells)
+            engine.run(cells)
+        cold, lpt = telemetry.log.by_name(SCHEDULE_PLANNED)
+        assert (cold.args["mode"], lpt.args["mode"]) == ("cold", "lpt")
+        stats = engine.stats
+        assert stats.actual_makespan_s == pytest.approx(
+            lpt.args["actual_makespan_s"], abs=1e-4
+        )
+        assert stats.predicted_makespan_s == pytest.approx(
+            lpt.args["predicted_makespan_s"], abs=1e-4
+        )
+
 
 class TestSerialWarmStart:
     def test_second_batch_refuses_nothing(self):

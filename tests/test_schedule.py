@@ -8,8 +8,8 @@ packing.  The planner itself is pure (``repro.sim.schedule``), so its
 edge cases — empty rounds, single cells, cells < workers, all-equal
 estimates, cold start — are unit-tested directly, as is the cost model
 (EWMA learning, instruction buckets, snapshot round-trip, store
-warm-boot) and the estimate-relative straggler budget's extend-only
-clamp.
+warm-boot).  The straggler budgets the cost model drives are tested
+with the engine's round object in tests/test_round.py.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from repro.sim.schedule import (
     legacy_chunks,
     plan_round,
     predict_makespan,
-    straggler_budget,
 )
 from repro.sim.store import ResultStore
 
@@ -207,27 +206,6 @@ class TestPredictMakespan:
 
     def test_empty(self):
         assert predict_makespan([], 4) == 0.0
-
-
-class TestStragglerBudget:
-    def test_no_estimates_is_flat_legacy(self):
-        assert straggler_budget(4.0, 0.5, [0, 1], {}) == 4.0 * 0.5 * 2
-
-    def test_heavy_chunk_budget_scales_with_estimate(self):
-        estimates = {i: 1.0 for i in range(10)}
-        estimates[10] = 10.0
-        flat = 4.0 * 0.5 * 1
-        budget = straggler_budget(4.0, 0.5, [10], estimates)
-        # A 10×-predicted chunk gets a ≥10× budget.
-        assert budget >= flat * 10
-
-    def test_low_estimates_never_shrink_the_budget(self):
-        # A wildly wrong *low* estimate must not fire speculation
-        # earlier than the legacy flat budget ever did.
-        estimates = {i: 1.0 for i in range(10)}
-        estimates[0] = 0.001
-        flat = 4.0 * 0.5 * 1
-        assert straggler_budget(4.0, 0.5, [0], estimates) == flat
 
 
 # ---------------------------------------------------------------------------

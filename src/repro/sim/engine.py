@@ -1359,7 +1359,8 @@ class Engine:
         pool_eligible = [
             i for i in pending if self._pool_eligible(specs[i])
         ]
-        serial = [i for i in pending if i not in set(pool_eligible)]
+        eligible = set(pool_eligible)
+        serial = [i for i in pending if i not in eligible]
         # A single eligible cell normally runs serially (cheaper, and it
         # streams simulation telemetry directly) — unless the parent's
         # telemetry session is live, in which case routing through the
@@ -1371,7 +1372,7 @@ class Engine:
         ):
             self._run_pool(specs, pool_eligible, results)
         else:
-            serial = sorted(set(serial) | set(pool_eligible))
+            serial = pending  # already in index order
         for index in serial:
             self._run_serial(specs[index], index, results)
 

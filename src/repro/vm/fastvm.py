@@ -44,26 +44,51 @@ from repro.vm.jit import (
 from repro.vm.vm import AdaptationHooks, VirtualMachine, _EMPTY, _SENTINEL
 
 
-def _counts_hook(policy, on_block, counts_only):
-    """The bound narrow hook, or None when ``on_block`` must be used.
+def _hook_mode(policy):
+    """How the runners deliver per-block callbacks to ``policy``.
 
-    A count-only policy that overrides ``on_block_counts`` gets its
-    per-block callback without a BlockEvent allocation; anything else
-    (no hook at all, address-reading hook, or no narrow override)
-    returns None and the runner falls back to ``on_block``.
+    Returns ``(on_block, counts_only, counts_hook)``, computed once per
+    runner call so the loops pay nothing per block for it:
+
+    * ``on_block`` is None for the do-nothing baseline hook, so no
+      BlockEvent is ever allocated; an instance-attribute override still
+      counts as a hook.
+    * ``counts_only`` is true when nothing reads the event's address
+      lists: no hook at all, or a class-level hook declaring
+      ``on_block_reads_addresses = False`` (it keeps the fused path and
+      sees BlockEvents with empty loads/stores).  Instance overrides are
+      conservative (addresses assumed read).
+    * ``counts_hook`` is the bound narrow ``on_block_counts`` of a
+      count-only policy that overrides it, called instead of allocating
+      a BlockEvent; otherwise None and the runner uses ``on_block``.
     """
-    if on_block is None or not counts_only:
-        return None
     if (
-        type(policy).on_block_counts is AdaptationHooks.on_block_counts
-        and "on_block_counts" not in policy.__dict__
+        type(policy).on_block is AdaptationHooks.on_block
+        and "on_block" not in policy.__dict__
     ):
-        return None
-    return policy.on_block_counts
+        return None, True, None
+    counts_only = (
+        not policy.on_block_reads_addresses
+        and "on_block" not in policy.__dict__
+    )
+    if counts_only and (
+        type(policy).on_block_counts is not AdaptationHooks.on_block_counts
+        or "on_block_counts" in policy.__dict__
+    ):
+        counts_hook = policy.on_block_counts
+    else:
+        counts_hook = None
+    return policy.on_block, counts_only, counts_hook
 
 
 class FastVirtualMachine(VirtualMachine):
     """Drop-in replacement for :class:`VirtualMachine`, ~3-5x faster."""
+
+    #: Batch entry of :meth:`_run_fused`'s tight loop, called for
+    #: self-loop blocks; see :meth:`TurboVirtualMachine._batch_step
+    #: <repro.vm.turbovm.TurboVirtualMachine._batch_step>`.  None here:
+    #: the fast kernel runs every block scalar.
+    _batch_step = None
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -262,26 +287,7 @@ class FastVirtualMachine(VirtualMachine):
         l2e = energy.l2
         memory_access_nj = energy.memory_access_nj
         pipeline = tuple(energy.pipeline.values())
-        policy = self.policy
-        # Skip BlockEvent allocation entirely for the do-nothing baseline
-        # hook; an instance-attribute override still counts as a hook.
-        if (
-            type(policy).on_block is AdaptationHooks.on_block
-            and "on_block" not in policy.__dict__
-        ):
-            on_block = None
-            counts_only = True
-        else:
-            on_block = policy.on_block
-            # A class-level hook declaring it never reads the event's
-            # address lists keeps the fused path; it then sees a
-            # BlockEvent with empty loads/stores.  Instance overrides
-            # are conservative (addresses assumed read).
-            counts_only = (
-                not policy.on_block_reads_addresses
-                and "on_block" not in policy.__dict__
-            )
-        counts_hook = _counts_hook(policy, on_block, counts_only)
+        on_block, counts_only, counts_hook = _hook_mode(self.policy)
         sampler = self.sampler
         sampler_advance = sampler.advance
         stats = self.stats
@@ -590,22 +596,14 @@ class FastVirtualMachine(VirtualMachine):
         l2e = energy.l2
         memory_access_nj = energy.memory_access_nj
         pipeline = tuple(energy.pipeline.values())
-        policy = self.policy
-        if (
-            type(policy).on_block is AdaptationHooks.on_block
-            and "on_block" not in policy.__dict__
-        ):
-            on_block = None
-            counts_only = True
-        else:
-            on_block = policy.on_block
-            # See _run_quantum: count-only class hooks keep the fused
-            # path and receive BlockEvents with empty address lists.
-            counts_only = (
-                not policy.on_block_reads_addresses
-                and "on_block" not in policy.__dict__
-            )
-        counts_hook = _counts_hook(policy, on_block, counts_only)
+        on_block, counts_only, counts_hook = _hook_mode(self.policy)
+        # Batching lumps many blocks into one step, so it runs only when
+        # no per-block hook can observe the seams.  This is also what
+        # keeps measuring policies exact: both ACE schemes install a
+        # per-block hook, and the (IPC, energy) of their trial windows
+        # depends on cache state carried in from all earlier execution,
+        # so any batching before a window could flip a near-tie choice.
+        batch_step = self._batch_step if on_block is None else None
         sampler = self.sampler
         sampler_advance = sampler.advance
         # Only sampler_advance itself moves the threshold, so it is kept
@@ -678,6 +676,23 @@ class FastVirtualMachine(VirtualMachine):
             now_cycles = machine.cycles
 
             while True:
+                # Subclass batch entry (turbo) for self-loop blocks: None
+                # when no batch ran, else the block to continue at (the
+                # same block after a partial batch, its fallthrough after
+                # the loop's whole activation).
+                if batch_step is not None and dec.taken_target == dec.bid:
+                    resume = batch_step(
+                        thread, activation, dec, now_insns, now_cycles,
+                        max_instructions, in_hotspot,
+                    )
+                    if resume is not None:
+                        now_insns = machine.instructions
+                        now_cycles = machine.cycles
+                        next_sample_at = sampler._next_sample_at
+                        if resume is not dec:
+                            dec = resume
+                            continue
+
                 # ---- block body (reference: _execute_body) ----
                 # When nothing reads the address lists (no on_block hook,
                 # or a hook declaring itself count-only), the codegen'd

@@ -17,9 +17,14 @@ the kernel simulates all of them in one step:
   accesses to any other set are replayed scalar in stream order through
   the real dict machinery, so miss counts, evictions and writebacks are
   exact given the addresses;
-* branch predictor, cycles, energy, method profiles, hotspot bookkeeping
-  and policy hooks are applied in closed form
-  (:meth:`AdaptationHooks.on_blocks_bulk`).
+* branch predictor, cycles, energy, method profiles and hotspot
+  bookkeeping are applied in closed form.
+
+Turbo has no interpreter loop of its own.  The fast kernel's fused
+runner calls :meth:`TurboVirtualMachine._batch_step` at the top of its
+tight loop for self-loop blocks, and only when the policy installs no
+per-block hook; every other block, and every run under a measuring
+policy, executes on the fast kernel's scalar path.
 
 This drops the fast kernel's bit-identity contract.  What may deviate and
 what must not is specified in docs/INTERNALS.md §17 and enforced by
@@ -42,16 +47,10 @@ import numpy as np  # this module is imported lazily; the driver gates it
 from repro.isa.program import LoopDecider
 from repro.obs.events import HOTSPOT_INVOKE
 from repro.vm.activation import FRAME_BYTES
-from repro.vm.fastvm import FastVirtualMachine, _counts_hook
+from repro.vm.fastvm import FastVirtualMachine
 from repro.vm.hotspot import MethodProfile
-from repro.vm.jit import (
-    PSTATE_UNSET,
-    TERM_COND,
-    TERM_GOTO,
-    TERM_RETURN,
-)
-from repro.trace.events import BlockEvent
-from repro.vm.vm import AdaptationHooks, _EMPTY, _SENTINEL
+from repro.vm.jit import TERM_COND, TERM_GOTO, TERM_RETURN
+from repro.vm.vm import _EMPTY, _SENTINEL
 from repro.workloads.patterns import WORD
 
 #: Smallest batch worth the fixed batching costs; shorter loops run scalar.
@@ -92,7 +91,6 @@ class TurboPlan:
         "mid_needs_iter",
         "branch_pc",
         "method_name",
-        "hook_slots",
         "leaves",
         # draw-table cache
         "tbl",
@@ -265,7 +263,6 @@ class TurboVirtualMachine(FastVirtualMachine):
                 serial_row.append(bool(block.serialized))
             return True
 
-        hook_slots = [(dec.block_pc, dec.n_insns)]
         if not add_block(dec, True):
             return None
         nl_per_iter = dec.n_loads
@@ -303,7 +300,6 @@ class TurboVirtualMachine(FastVirtualMachine):
                     return None
                 bid = block.goto_target
             for block in chain:
-                hook_slots.append((block.block_pc, block.n_insns))
                 if not add_block(block, False):
                     return None
                 nl_per_iter += block.n_loads
@@ -338,7 +334,6 @@ class TurboVirtualMachine(FastVirtualMachine):
         plan.mid_needs_iter = dec.needs_iter
         plan.branch_pc = dec.branch_pc
         plan.method_name = dec.method_name
-        plan.hook_slots = tuple(hook_slots)
         plan.leaves = tuple(leaves)
         plan.tbl = None
         plan.store_tbl = None
@@ -498,8 +493,7 @@ class TurboVirtualMachine(FastVirtualMachine):
     # -- batched execution --------------------------------------------------
 
     def _execute_batch(
-        self, thread, activation, dec, plan, batch, full, bulk_hook,
-        in_hotspot
+        self, thread, activation, dec, plan, batch, full, in_hotspot
     ):
         """Run ``batch`` loop iterations in closed form.
 
@@ -510,8 +504,8 @@ class TurboVirtualMachine(FastVirtualMachine):
         decider and continues at the fallthrough block.  Caller has
         flushed ``machine.instructions``/``cycles`` and owns the
         loop-decider state update; everything else — cache, predictor,
-        timing, energy, profiles, hotspot info, L1I, stats, hooks,
-        sampler, telemetry — happens here.
+        timing, energy, profiles, hotspot info, L1I, stats, sampler,
+        telemetry — happens here.
         """
         machine = self.machine
         hierarchy = machine.hierarchy
@@ -762,455 +756,71 @@ class TurboVirtualMachine(FastVirtualMachine):
                             )
                         ts += insns
 
-        # ---- policy hook + sampler ----
-        if bulk_hook is not None:
-            bulk_hook(
-                tuple(
-                    (pc, n_insns, batch)
-                    for pc, n_insns in plan.hook_slots
-                ),
-                total_insns,
-                thread_id,
-                machine,
-            )
+        # ---- sampler ----
         sampler = self.sampler
         now_cycles = machine.cycles
         if now_cycles >= sampler._next_sample_at:
             sampler.advance(now_cycles, plan.method_name)
 
-    # -- fused runner with the batch fast path ------------------------------
+    # -- batch entry of the fused runner ------------------------------------
 
-    def _run_fused(self, thread, max_instructions) -> None:
-        """Fast kernel's fused runner plus the turbo batch trigger.
+    def _batch_step(
+        self, thread, activation, dec, now_insns, now_cycles,
+        max_instructions, in_hotspot,
+    ):
+        """Batch the self-loop block ``dec`` if it is ready; see
+        :meth:`FastVirtualMachine._run_fused`, which calls this at the top
+        of its tight loop when no per-block hook is installed.
 
-        Identical to :meth:`FastVirtualMachine._run_fused` except that the
-        top of the tight loop checks whether the current block is a
-        batchable self-loop with enough guaranteed-taken iterations left
-        (and the policy supports bulk delivery), in which case the batch
-        executes in closed form and the loop falls through to a scalar
-        iteration.  Scalar execution — including every RNG draw from the
-        thread's Mersenne stream — is byte-for-byte the fast kernel's.
+        ``now_insns``/``now_cycles`` are the runner's unflushed counters.
+        Returns None when no batch ran (the runner continues scalar with
+        ``dec``).  Otherwise the counters have been flushed and advanced,
+        and the return value is the block to continue at: ``dec`` after a
+        partial batch (the next iteration runs scalar off the Mersenne
+        stream and re-checks the trigger when it loops back), or
+        ``dec.fallthrough_dec`` after the loop's whole activation.
+        Scalar execution — including every RNG draw from the thread's
+        Mersenne stream — is byte-for-byte the fast kernel's.
         """
-        machine = self.machine
-        hierarchy = machine.hierarchy
-        l1 = hierarchy.l1d
-        l1_stats = l1.stats
-        l2_access = hierarchy.l2.access_block
-        predictor = machine.predictor
-        pred_table = predictor._table
-        pred_mask = predictor._mask
-        timing = machine.timing
-        (
-            cycles_per_insn,
-            l2_hit_latency,
-            memory_latency,
-            mispredict_penalty,
-            mlp,
-        ) = timing.hot_constants()
-        energy = machine.energy
-        l1e = energy.l1d
-        l2e = energy.l2
-        memory_access_nj = energy.memory_access_nj
-        pipeline = tuple(energy.pipeline.values())
-        policy = self.policy
-        if (
-            type(policy).on_block is AdaptationHooks.on_block
-            and "on_block" not in policy.__dict__
-        ):
-            on_block = None
-            counts_only = True
-        else:
-            on_block = policy.on_block
-            counts_only = (
-                not policy.on_block_reads_addresses
-                and "on_block" not in policy.__dict__
-            )
-        counts_hook = _counts_hook(policy, on_block, counts_only)
-        # Batch gating: with no hook at all, batch freely; with a narrow
-        # counts hook, batch only if the policy opts into bulk delivery;
-        # an on_block (event) hook observes per-block seams, so no
-        # batching at all.
-        bulk_hook = None
-        horizon_fn = None
-        if counts_hook is not None:
-            if (
-                type(policy).on_blocks_bulk
-                is not AdaptationHooks.on_blocks_bulk
-                or "on_blocks_bulk" in policy.__dict__
-            ):
-                bulk_hook = policy.on_blocks_bulk
-                batching = True
-            else:
-                batching = False
-        elif on_block is not None:
-            batching = False
-        else:
-            batching = True
-        if batching and (
-            type(policy).bulk_horizon is not AdaptationHooks.bulk_horizon
-            or "bulk_horizon" in policy.__dict__
-        ):
-            horizon_fn = policy.bulk_horizon
-        # Measurement-driven deoptimisation: a policy that decides
-        # discrete outcomes from measured windows asserts
-        # bulk_pause_depth for the whole run (see AdaptationHooks).  It
-        # is sampled here, once per scheduling quantum, so the tight
-        # loop below pays nothing for it; both shipped policies set it
-        # in __init__ and never change it mid-run.
-        if batching and policy.bulk_pause_depth != 0:
-            batching = False
-        sampler = self.sampler
-        sampler_advance = sampler.advance
-        next_sample_at = sampler._next_sample_at
-        stats = self.stats
-        thread_insns = stats.thread_instructions
-        thread_id = thread.thread_id
-        rng = thread.rng
-        drng = thread.decider_rng
-        stack = thread.stack
-        tables = self._decoder.tables
-        get_table = self._decoder.table
+        dec_id = id(dec)
         turbo_plans = self._turbo_plans
-        plans_get = turbo_plans.get
-        min_batch = MIN_BATCH
-        table_rows = TABLE_ROWS
-        missing = _SENTINEL
-        unset = PSTATE_UNSET
-        cur_name = None
-        cur_table = None
-
-        while True:
-            if machine.instructions >= max_instructions:
-                return
-            activation = stack[-1]
-            method = activation.method
-            name = method.name
-            if name is not cur_name:
-                cur_table = tables.get(name)
-                if cur_table is None:
-                    cur_table = get_table(method)
-                cur_name = name
-            dec = cur_table[activation.bid]
-            phase = activation.phase
-
-            if phase:
-                if phase <= dec.n_calls:
-                    activation.phase = phase + 1
-                    self._invoke(thread, dec.callees[phase - 1])
-                    continue
-                kind = dec.term_kind
-                if kind == TERM_RETURN:
-                    self._return(thread)
-                    if not stack:
-                        thread.finished = True
-                        return
-                    continue
-                if kind == TERM_GOTO:
-                    activation.bid = dec.goto_target
-                else:
-                    taken = activation.loop_states.pop("__pending__")
-                    activation.bid = (
-                        dec.taken_target if taken else dec.fallthrough_target
-                    )
-                activation.phase = 0
-                continue
-
-            frame_base = activation.frame_base
-            loop_states = activation.loop_states
-            in_hotspot = thread.hotspot_depth
-            now_insns = machine.instructions
-            now_cycles = machine.cycles
-
-            while True:
-                # ---- turbo batch trigger (self-loop blocks only) ----
-                if batching and dec.taken_target == dec.bid:
-                    dec_id = id(dec)
-                    plan = plans_get(dec_id)
-                    if plan is None:
-                        plan = self._compile_turbo_plan(dec) or False
-                        turbo_plans[dec_id] = plan
-                    if plan is not False:
-                        state = loop_states.get(dec.bid, missing)
-                        if state is missing:
-                            # Pre-arm: draw the trip count now instead
-                            # of at the end of the first body.  Within
-                            # the turbo run this is behaviour-preserving
-                            # (the scalar decider path finds the armed
-                            # state); only the Mersenne draw *position*
-                            # moves, which turbo's contract allows.
-                            state = dec.decider.initial_state(drng)
-                            loop_states[dec.bid] = state
-                        if type(state) is int and state >= min_batch:
-                            unit = plan.unit_insns
-                            cap = (
-                                max_instructions - now_insns - 1
-                            ) // unit
-                            nbatch = state if state < cap else cap
-                            if nbatch > table_rows:
-                                nbatch = table_rows
-                            if (
-                                horizon_fn is not None
-                                and nbatch >= min_batch
-                            ):
-                                hcap = horizon_fn() // unit
-                                if hcap < nbatch:
-                                    nbatch = hcap
-                            if (
-                                nbatch >= min_batch
-                                and self._turbo_leaves_ready(plan)
-                            ):
-                                full = nbatch == state
-                                machine.instructions = now_insns
-                                machine.cycles = now_cycles
-                                self._execute_batch(
-                                    thread,
-                                    activation,
-                                    dec,
-                                    plan,
-                                    nbatch,
-                                    full,
-                                    bulk_hook,
-                                    in_hotspot,
-                                )
-                                now_insns = machine.instructions
-                                now_cycles = machine.cycles
-                                next_sample_at = sampler._next_sample_at
-                                if full:
-                                    # The whole activation ran: re-arm
-                                    # the decider (the not-taken decide
-                                    # consumes its Mersenne draw here)
-                                    # and continue at the fallthrough
-                                    # block.  The batch cap guarantees
-                                    # the budget is not yet exhausted.
-                                    _t, new_state = dec.decider.decide(
-                                        1, drng
-                                    )
-                                    loop_states[dec.bid] = new_state
-                                    dec = dec.fallthrough_dec
-                                    continue
-                                loop_states[dec.bid] = state - nbatch
-                                # Partial batch: the next iteration runs
-                                # scalar off the Mersenne stream (and
-                                # re-checks the trigger when it loops
-                                # back).
-
-                # ---- block body (identical to FastVirtualMachine) ----
-                fused = dec.fused_gen if counts_only else None
-                if fused is not None:
-                    if dec.needs_iter:
-                        iteration = dec.iter_count
-                        dec.iter_count = iteration + 1
-                    else:
-                        iteration = 0
-                    r_m, w_m, miss_lines, wb_lines = fused(
-                        rng, frame_base, dec.region_base, iteration,
-                        l1, missing,
-                    )
-                    nl = dec.n_loads
-                    ns = dec.n_stores
-                    loads = stores = _EMPTY
-                else:
-                    fgen = dec.fast_gen
-                    if fgen is not None:
-                        if dec.needs_iter:
-                            iteration = dec.iter_count
-                            dec.iter_count = iteration + 1
-                        else:
-                            iteration = 0
-                        loads, stores = fgen(
-                            rng, frame_base, dec.region_base, iteration
-                        )
-                    else:
-                        loads = stores = _EMPTY
-
-                    line_shift = l1._line_shift
-                    set_mask = l1._set_mask
-                    sets = l1._sets
-                    assoc = l1.associativity
-                    miss_lines = []
-                    wb_lines = []
-                    r_h = 0
-                    r_m = 0
-                    for addr in loads:
-                        line = addr >> line_shift
-                        s = sets[line & set_mask]
-                        prev = s.pop(line, missing)
-                        if prev is not missing:
-                            s[line] = prev
-                            r_h += 1
-                        else:
-                            r_m += 1
-                            miss_lines.append(line << line_shift)
-                            if len(s) >= assoc:
-                                victim = next(iter(s))
-                                if s.pop(victim):
-                                    wb_lines.append(victim << line_shift)
-                            s[line] = False
-                    w_h = 0
-                    w_m = 0
-                    for addr in stores:
-                        line = addr >> line_shift
-                        s = sets[line & set_mask]
-                        if s.pop(line, missing) is not missing:
-                            s[line] = True
-                            w_h += 1
-                        else:
-                            w_m += 1
-                            miss_lines.append(line << line_shift)
-                            if len(s) >= assoc:
-                                victim = next(iter(s))
-                                if s.pop(victim):
-                                    wb_lines.append(victim << line_shift)
-                            s[line] = True
-                    nl = r_h + r_m
-                    ns = w_h + w_m
-
-                decider = dec.decider
-                if decider is not None:
-                    if dec.persistent:
-                        state = dec.pstate
-                        if state is unset:
-                            state = decider.initial_state(drng)
-                        taken, dec.pstate = decider.decide(state, drng)
-                    else:
-                        state = loop_states.get(dec.bid, missing)
-                        if state is missing:
-                            state = decider.initial_state(drng)
-                        taken, new_state = decider.decide(state, drng)
-                        loop_states[dec.bid] = new_state
-                    branch_pc = dec.branch_pc
-                else:
-                    taken = True
-                    branch_pc = None
-
-                l1_misses = r_m + w_m
-                l1_stats.read_accesses += nl
-                l1_stats.write_accesses += ns
-                if l1_misses:
-                    l1_stats.read_misses += r_m
-                    l1_stats.write_misses += w_m
-                    l1_stats.fills += l1_misses
-                    if wb_lines:
-                        l1_stats.writebacks += len(wb_lines)
-                    (l2_rh, l2_rm, l2_wh, l2_wm, _l2_miss, l2_wb) = (
-                        l2_access(miss_lines, wb_lines or _EMPTY)
-                    )
-                    l2_misses = l2_rm + l2_wm
-                    hierarchy.memory_reads += l2_misses
-                    hierarchy.memory_writes += len(l2_wb)
-                    have_l2 = True
-                else:
-                    l2_misses = 0
-                    have_l2 = False
-
-                mispredicts = 0
-                if branch_pc is not None:
-                    index = (branch_pc >> 2) & pred_mask
-                    counter = pred_table[index]
-                    if taken:
-                        if counter < 3:
-                            pred_table[index] = counter + 1
-                    elif counter > 0:
-                        pred_table[index] = counter - 1
-                    predictor.lookups += 1
-                    if (counter >= 2) != taken:
-                        predictor.mispredictions += 1
-                        mispredicts = 1
-
-                n_insns = dec.n_insns
-                cycles = n_insns * cycles_per_insn / timing._ilp_factor
-                if l1_misses or l2_misses:
-                    overlap = 1.0 if dec.serialized else mlp
-                    cycles += l1_misses * (l2_hit_latency / overlap)
-                    cycles += l2_misses * (memory_latency / overlap)
-                if mispredicts:
-                    cycles += mispredicts * mispredict_penalty
-
-                l1e.dynamic_nj += (
-                    nl * l1e._read_nj + (ns + l1_misses) * l1e._write_nj
-                )
-                if have_l2:
-                    l2e.dynamic_nj += (
-                        (l2_rh + l2_rm) * l2e._read_nj
-                        + (l2_wh + l2_wm + l2_misses) * l2e._write_nj
-                    )
-                    energy.memory_nj += (
-                        (l2_misses + len(l2_wb)) * memory_access_nj
-                    )
-                l1e.leakage_nj += cycles * l1e._leak_nj
-                l2e.leakage_nj += cycles * l2e._leak_nj
-                for component in pipeline:
-                    component.energy_nj += cycles * component._nj
-                now_insns += n_insns
-                now_cycles += cycles
-
-                stats.blocks_executed += 1
-                thread_insns[thread_id] += n_insns
-                if in_hotspot:
-                    stats.instructions_in_hotspots += n_insns
-                if counts_hook is not None:
-                    machine.instructions = now_insns
-                    machine.cycles = now_cycles
-                    counts_hook(n_insns, dec.block_pc, thread_id, machine)
-                    now_insns = machine.instructions
-                    now_cycles = machine.cycles
-                elif on_block is not None:
-                    machine.instructions = now_insns
-                    machine.cycles = now_cycles
-                    on_block(
-                        BlockEvent(
-                            dec.method_name,
-                            dec.bid,
-                            n_insns,
-                            loads,
-                            stores,
-                            branch_pc,
-                            taken,
-                            dec.serialized,
-                            thread_id,
-                            dec.block_pc,
-                        ),
-                        machine,
-                    )
-                    now_insns = machine.instructions
-                    now_cycles = machine.cycles
-                if now_cycles >= next_sample_at:
-                    machine.instructions = now_insns
-                    machine.cycles = now_cycles
-                    sampler_advance(now_cycles, dec.method_name)
-                    next_sample_at = sampler._next_sample_at
-                    now_cycles = machine.cycles
-
-                if dec.n_calls:
-                    machine.instructions = now_insns
-                    machine.cycles = now_cycles
-                    activation.bid = dec.bid
-                    if decider is not None:
-                        loop_states["__pending__"] = taken
-                    if now_insns >= max_instructions:
-                        activation.phase = 1
-                        return
-                    activation.phase = 2
-                    self._invoke(thread, dec.callees[0])
-                    break
-                if now_insns >= max_instructions:
-                    machine.instructions = now_insns
-                    machine.cycles = now_cycles
-                    activation.bid = dec.bid
-                    activation.phase = 1
-                    if decider is not None:
-                        loop_states["__pending__"] = taken
-                    return
-                kind = dec.term_kind
-                if kind == TERM_COND:
-                    dec = dec.taken_dec if taken else dec.fallthrough_dec
-                elif kind == TERM_GOTO:
-                    dec = dec.goto_dec
-                else:  # TERM_RETURN
-                    machine.instructions = now_insns
-                    machine.cycles = now_cycles
-                    self._return(thread)
-                    if not stack:
-                        thread.finished = True
-                        return
-                    break
+        plan = turbo_plans.get(dec_id)
+        if plan is None:
+            plan = self._compile_turbo_plan(dec) or False
+            turbo_plans[dec_id] = plan
+        if plan is False:
+            return None
+        loop_states = activation.loop_states
+        state = loop_states.get(dec.bid, _SENTINEL)
+        if state is _SENTINEL:
+            # Pre-arm: draw the trip count now instead of at the end of
+            # the first body.  Within the turbo run this is behaviour-
+            # preserving (the scalar decider path finds the armed state);
+            # only the Mersenne draw *position* moves, which turbo's
+            # contract allows.
+            state = dec.decider.initial_state(thread.decider_rng)
+            loop_states[dec.bid] = state
+        if type(state) is not int or state < MIN_BATCH:
+            return None
+        cap = (max_instructions - now_insns - 1) // plan.unit_insns
+        nbatch = min(state, cap, TABLE_ROWS)
+        if nbatch < MIN_BATCH or not self._turbo_leaves_ready(plan):
+            return None
+        full = nbatch == state
+        machine = self.machine
+        machine.instructions = now_insns
+        machine.cycles = now_cycles
+        self._execute_batch(
+            thread, activation, dec, plan, nbatch, full, in_hotspot
+        )
+        if full:
+            # The whole activation ran: re-arm the decider (the not-taken
+            # decide consumes its Mersenne draw here) and continue at the
+            # fallthrough block.  The batch cap guarantees the budget is
+            # not yet exhausted.
+            _t, loop_states[dec.bid] = dec.decider.decide(
+                1, thread.decider_rng
+            )
+            return dec.fallthrough_dec
+        loop_states[dec.bid] = state - nbatch
+        return dec

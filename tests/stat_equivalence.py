@@ -13,9 +13,9 @@ hotspot sets, and reconfiguration counts must be *equal* to the fast
 kernel's — a tolerance on a decision is meaningless.  Turbo achieves
 this by construction: control flow draws from the split decider stream
 (``decider_stream="split"``, which ``sim_kernel="turbo"`` auto-selects),
-and any policy that tunes by measuring raises
-``AdaptationHooks.bulk_pause_depth``, which deoptimises turbo onto its
-bit-identical scalar path for the whole run.
+and turbo batches only when the policy installs no per-block hook; any
+policy that tunes by measuring counts blocks through one, so turbo runs
+its bit-identical scalar path for the whole run.
 
 **Continuous metrics are compared under committed tolerances** — but
 only where batching is actually live.  Under measuring policies (bbv,

@@ -14,6 +14,7 @@ import pytest
 pytest.importorskip("numpy", reason="turbo kernel requires numpy")
 
 from repro.sim.config import ExperimentConfig
+from repro.sim.driver import RunSpec, execute, make_policy
 
 from tests.stat_equivalence import (
     MEASURING_SCHEMES,
@@ -41,6 +42,43 @@ SUBSET = [
 @pytest.mark.parametrize("bench,scheme", SUBSET)
 def test_subset_cell_stat_equivalent(bench, scheme):
     assert_cell_stat_equivalent(bench, scheme, max_instructions=400_000)
+
+
+#: Where turbo's batched path must fire and where it must stay scalar:
+#: batching runs only in the single-thread fused loop, and only when the
+#: policy installs no per-block hook (class or instance override).
+BATCH_SITES = [
+    ("db", "baseline", False, True),
+    ("db", "bbv", False, False),
+    ("db", "hotspot", False, False),
+    ("mtrt", "baseline", False, False),  # two threads: quantum loop
+    ("db", "baseline", True, False),  # on_block overridden on the instance
+]
+
+
+@pytest.mark.parametrize("bench,scheme,instance_hook,batches", BATCH_SITES)
+def test_turbo_batches_only_without_a_per_block_hook(
+    monkeypatch, bench, scheme, instance_hook, batches
+):
+    from repro.vm.turbovm import TurboVirtualMachine
+
+    calls = []
+    execute_batch = TurboVirtualMachine._execute_batch
+
+    def spy(self, *args):
+        calls.append(args)
+        return execute_batch(self, *args)
+
+    monkeypatch.setattr(TurboVirtualMachine, "_execute_batch", spy)
+    config = ExperimentConfig(max_instructions=400_000, sim_kernel="turbo")
+    policy = make_policy(scheme, config)
+    if instance_hook:
+        policy.on_block = lambda event, machine: None
+    execute(RunSpec(bench, scheme, config=config, policy=policy))
+    if batches:
+        assert calls, f"turbo never batched {bench}/{scheme}"
+    else:
+        assert not calls, f"turbo batched {bench}/{scheme} {len(calls)}x"
 
 
 @pytest.mark.slow

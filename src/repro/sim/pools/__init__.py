@@ -93,17 +93,59 @@ def make_pool(spec: str) -> Pool:
     return factory(arg)
 
 
+#: Mount point of the cgroup file system read by :func:`_cgroup_cpu_limit`.
+CGROUP_ROOT = "/sys/fs/cgroup"
+
+
 def available_cpus() -> int:
     """CPUs this process may run on.
 
     The affinity mask (``os.sched_getaffinity``) where the platform has
     one — under ``taskset`` or a container CPU set it is smaller than
-    the machine — else ``os.cpu_count()``.
+    the machine — else ``os.cpu_count()``; capped by a cgroup CPU quota
+    (:func:`_cgroup_cpu_limit`), which containers use to share CPUs
+    without shrinking the mask.
     """
     try:
-        return len(os.sched_getaffinity(0))
+        cpus = len(os.sched_getaffinity(0))
     except AttributeError:
-        return os.cpu_count() or 1
+        cpus = os.cpu_count() or 1
+    limit = _cgroup_cpu_limit()
+    return cpus if limit is None else min(cpus, limit)
+
+
+def _cgroup_cpu_limit() -> Optional[int]:
+    """CPUs a cgroup CPU quota allows, rounded up; None when unlimited.
+
+    Reads cgroup v2 ``cpu.max`` (``"<quota> <period>"``, quota ``max``
+    when unlimited), else cgroup v1 ``cpu/cpu.cfs_quota_us`` and
+    ``cpu/cpu.cfs_period_us`` (quota ``-1`` when unlimited), at
+    :data:`CGROUP_ROOT` — the container's own group under a cgroup
+    namespace.  Missing or unreadable files mean no limit.
+    """
+    fields = _read_fields(os.path.join(CGROUP_ROOT, "cpu.max"))
+    if fields is None:
+        v1 = os.path.join(CGROUP_ROOT, "cpu")
+        quota = _read_fields(os.path.join(v1, "cpu.cfs_quota_us"))
+        period = _read_fields(os.path.join(v1, "cpu.cfs_period_us"))
+        if quota is None or period is None:
+            return None
+        fields = quota + period
+    try:
+        quota, period = int(fields[0]), int(fields[1])
+    except (IndexError, ValueError):  # "max", or a malformed file
+        return None
+    if quota <= 0 or period <= 0:
+        return None
+    return -(-quota // period)
+
+
+def _read_fields(path: str) -> Optional[List[str]]:
+    try:
+        with open(path) as handle:
+            return handle.read().split()
+    except OSError:
+        return None
 
 
 def _int_arg(arg: Optional[str], default: int, spec: str) -> int:

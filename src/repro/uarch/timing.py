@@ -112,7 +112,8 @@ class TimingModel:
         Returns ``(cycles_per_insn, l2_hit_latency, memory_latency,
         mispredict_penalty, mlp)``.  These are fixed for a run —
         :class:`TimingParams` is never mutated after construction — so the
-        fast kernel binds them as loop locals once per quantum.
+        fast kernel binds them as loop locals once per runner call (one
+        quantum, or all of a single-threaded, GC-free run).
         ``ilp_factor`` is deliberately *not* included: pipeline CUs change
         it mid-run, so the hot loop must read ``self._ilp_factor`` live.
         """

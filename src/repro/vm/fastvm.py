@@ -14,10 +14,11 @@ speed:
   expressions verbatim;
 * ``BlockEvent`` objects are allocated only when the adaptation policy
   actually overrides ``on_block`` (the baseline scheme skips them);
-* for single-threaded, GC-free runs the body and terminator micro-steps of
-  call-less blocks are fused into one loop iteration (observably identical:
-  with one thread the quantum only schedules, and the terminator step has
-  no side effects besides activation bookkeeping).
+* one runner, :meth:`FastVirtualMachine._run_fused`, runs every thread of
+  every run: the body and terminator micro-steps of call-less blocks are
+  fused into one loop iteration, and the loop is left only at a seam the
+  reference scheduler could observe — a quantum end, the instruction
+  budget, or the point where GC falls due.
 
 Bit-identity with the reference kernel is not an aspiration but a tested
 contract — ``tests/test_kernel_equivalence.py`` diffs the two kernels'
@@ -43,12 +44,17 @@ from repro.vm.jit import (
 )
 from repro.vm.vm import AdaptationHooks, VirtualMachine, _EMPTY, _SENTINEL
 
+#: Quantum of a run whose quantum ends nothing can observe (one thread,
+#: no GC).  Any count is exact there; this one is a small int that a
+#: run never exhausts in practice.
+UNSLICED = 2**30 - 1
+
 
 def _hook_mode(policy):
-    """How the runners deliver per-block callbacks to ``policy``.
+    """How the runner delivers per-block callbacks to ``policy``.
 
     Returns ``(on_block, counts_only, counts_hook)``, computed once per
-    runner call so the loops pay nothing per block for it:
+    runner call so the loop pays nothing per block for it:
 
     * ``on_block`` is None for the do-nothing baseline hook, so no
       BlockEvent is ever allocated; an instance-attribute override still
@@ -92,7 +98,11 @@ class FastVirtualMachine(VirtualMachine):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._decoder = BlockDecoder(self.program)
+        # One decode table per thread: its DecodedBlock slots hold that
+        # thread's iteration counters and persistent decider state.
+        # Thread 0's table is ``_decoder`` (turbo's plan compiler reads it).
+        self._decoders = [BlockDecoder(self.program) for _ in self.threads]
+        self._decoder = self._decoders[0]
         # Stable per-run containers, pre-bound to shave attribute chains
         # off the _invoke/_return hot paths.  All are mutated in place
         # and never reassigned by the reference implementation.
@@ -223,355 +233,60 @@ class FastVirtualMachine(VirtualMachine):
             self._gc_active -= 1
 
     def run(self, max_instructions: int) -> None:
-        """Run until ``max_instructions`` retire or all threads finish."""
+        """Run until ``max_instructions`` retire or all threads finish.
+
+        The reference scheduler: every live thread in turn runs one
+        quantum of micro-steps.  With one thread and no GC a quantum end
+        is unobservable, so the thread runs unsliced.
+        """
         if max_instructions <= 0:
             raise ValueError("max_instructions must be positive")
         machine = self.machine
-        quantum = self.config.quantum_blocks
         threads = self.threads
         for thread in threads:
             self._invoke(thread, self.program.methods[thread.entry_method])
-        gc_enabled = bool(
-            self.config.gc_method
-            and self.config.gc_period_instructions > 0
-        )
-        # The fused runner drops quantum slicing and micro-step phases for
-        # straight-line code; that is only transparent when nothing can
-        # observe the seams — a second thread's quantum or a GC check
-        # could otherwise fall between two micro-steps.
-        if len(threads) == 1 and not gc_enabled:
-            thread = threads[0]
-            if not thread.finished:
-                self._run_fused(thread, max_instructions)
-            self.policy.on_run_end(self)
-            return
+        quantum = self.config.quantum_blocks
+        if len(threads) == 1 and not self._gc_period():
+            quantum = UNSLICED
         while machine.instructions < max_instructions:
             alive = False
             for thread in threads:
                 if thread.finished:
                     continue
                 alive = True
-                self._run_quantum(
-                    thread, quantum, max_instructions, gc_enabled
-                )
+                self._run_fused(thread, max_instructions, quantum)
                 if machine.instructions >= max_instructions:
                     break
             if not alive:
                 break
         self.policy.on_run_end(self)
 
-    def _run_quantum(
-        self, thread, quantum, max_instructions, gc_enabled
-    ) -> None:
-        """Run one thread for up to ``quantum`` micro-steps."""
-        machine = self.machine
-        hierarchy = machine.hierarchy
-        l1 = hierarchy.l1d
-        l2 = hierarchy.l2
-        l1_access = l1.access_block
-        l1_stats = l1.stats
-        l2_access = l2.access_block
-        predictor = machine.predictor
-        pred_table = predictor._table
-        pred_mask = predictor._mask
-        timing = machine.timing
-        (
-            cycles_per_insn,
-            l2_hit_latency,
-            memory_latency,
-            mispredict_penalty,
-            mlp,
-        ) = timing.hot_constants()
-        energy = machine.energy
-        l1e = energy.l1d
-        l2e = energy.l2
-        memory_access_nj = energy.memory_access_nj
-        pipeline = tuple(energy.pipeline.values())
-        on_block, counts_only, counts_hook = _hook_mode(self.policy)
-        sampler = self.sampler
-        sampler_advance = sampler.advance
-        stats = self.stats
-        thread_insns = stats.thread_instructions
-        thread_id = thread.thread_id
-        rng = thread.rng
-        drng = thread.decider_rng
-        block_iterations = thread.block_iterations
-        persistent_states = thread.persistent_decider_states
-        stack = thread.stack
-        tables = self._decoder.tables
-        get_table = self._decoder.table
-        # Method names are interned attribute reads of the same str object,
-        # so identity comparison caches the per-method decode table across
-        # consecutive micro-steps inside one method.
-        cur_name = None
-        cur_table = None
+    def _gc_period(self) -> int:
+        """Instructions between GC invocations; 0 when GC is off."""
+        config = self.config
+        if config.gc_method and config.gc_period_instructions > 0:
+            return config.gc_period_instructions
+        return 0
 
-        # Each loop turn consumes one micro-step; ``steps`` is the
-        # quantum countdown.  With GC off nothing can be scheduled
-        # between two consecutive micro-steps of the same thread, so
-        # after a body the successor micro-steps of the *same*
-        # activation (call launch, terminator, and the next body after
-        # a goto/branch) are chained inline without re-deriving
-        # ``stack[-1]``/method/decode-table — the budget and quantum
-        # gates stay at every micro-step boundary, so the thread
-        # interleave and all architectural state are unchanged.
-        steps = quantum
-        while steps > 0:
-            if thread.finished or machine.instructions >= max_instructions:
-                return
-            if gc_enabled:
-                self._maybe_gc(thread)
-            activation = stack[-1]
-            method = activation.method
-            name = method.name
-            if name is not cur_name:
-                cur_table = tables.get(name)
-                if cur_table is None:
-                    cur_table = get_table(method)
-                cur_name = name
-            dec = cur_table[activation.bid]
-            phase = activation.phase
+    def _run_fused(self, thread, max_instructions, steps) -> None:
+        """Run ``thread`` for up to ``steps`` micro-steps (one quantum).
 
-            if phase == 0:
-                while True:
-                    # ---- block body (reference: _execute_body) ----
-                    # Same fused fast path as _run_fused (see there for the
-                    # ordering argument); iteration counters stay in the
-                    # per-thread dict because the decode table is shared.
-                    fused = dec.fused_gen if counts_only else None
-                    if fused is not None:
-                        if dec.needs_iter:
-                            key = dec.key
-                            iteration = block_iterations.get(key, 0)
-                            block_iterations[key] = iteration + 1
-                        else:
-                            iteration = 0
-                        r_m, w_m, miss_lines, wb_lines = fused(
-                            rng,
-                            activation.frame_base,
-                            dec.region_base,
-                            iteration,
-                            l1,
-                            _SENTINEL,
-                        )
-                        nl = dec.n_loads
-                        ns = dec.n_stores
-                        # Count-only hooks never read the address lists.
-                        loads = stores = _EMPTY
-                        # Stats epilogue access_block would have applied
-                        # (fills == miss count; lists may be None when empty).
-                        l1_stats.read_accesses += nl
-                        l1_stats.read_misses += r_m
-                        l1_stats.write_accesses += ns
-                        l1_stats.write_misses += w_m
-                        l1_stats.fills += r_m + w_m
-                        if wb_lines:
-                            l1_stats.writebacks += len(wb_lines)
-                    else:
-                        fgen = dec.fast_gen
-                        if fgen is not None:
-                            if dec.needs_iter:
-                                key = dec.key
-                                iteration = block_iterations.get(key, 0)
-                                block_iterations[key] = iteration + 1
-                            else:
-                                iteration = 0
-                            loads, stores = fgen(
-                                rng,
-                                activation.frame_base,
-                                dec.region_base,
-                                iteration,
-                            )
-                        else:
-                            loads = stores = _EMPTY
-                        # (reference: MachineModel.consume)
-                        (r_h, r_m, w_h, w_m, miss_lines, wb_lines) = l1_access(
-                            loads, stores
-                        )
-                        nl = r_h + r_m
-                        ns = w_h + w_m
+        The outer loop is the reference's micro-step dispatcher: before
+        every micro-step it does what ``VirtualMachine.run`` does — the
+        finished, budget and quantum checks, then ``_maybe_gc`` — and
+        then resumes a call block (next call launch or terminator) or
+        enters a straight-line segment.  The segment's tight loop chains
+        pre-linked :class:`DecodedBlock` successors, two micro-steps per
+        block (body, terminator), keeps the thread's iteration counters
+        and persistent decider state in the slots of its own decode
+        table, and inlines the L1D access loop.
 
-                    decider = dec.decider
-                    if decider is not None:
-                        if dec.persistent:
-                            states = persistent_states
-                            skey = dec.key
-                        else:
-                            states = activation.loop_states
-                            skey = dec.bid
-                        state = states.get(skey, _SENTINEL)
-                        if state is _SENTINEL:
-                            state = decider.initial_state(drng)
-                        taken, new_state = decider.decide(state, drng)
-                        states[skey] = new_state
-                        branch_pc = dec.branch_pc
-                    else:
-                        taken = True
-                        branch_pc = None
-                    l1_misses = r_m + w_m
-                    if miss_lines or wb_lines:
-                        (l2_rh, l2_rm, l2_wh, l2_wm, _l2_miss, l2_wb) = (
-                            l2_access(miss_lines or _EMPTY, wb_lines or _EMPTY)
-                        )
-                        l2_misses = l2_rm + l2_wm
-                        hierarchy.memory_reads += l2_misses
-                        hierarchy.memory_writes += len(l2_wb)
-                        have_l2 = True
-                    else:
-                        l2_misses = 0
-                        have_l2 = False
-
-                    mispredicts = 0
-                    if branch_pc is not None:
-                        index = (branch_pc >> 2) & pred_mask
-                        counter = pred_table[index]
-                        if taken:
-                            if counter < 3:
-                                pred_table[index] = counter + 1
-                        elif counter > 0:
-                            pred_table[index] = counter - 1
-                        predictor.lookups += 1
-                        if (counter >= 2) != taken:
-                            predictor.mispredictions += 1
-                            mispredicts = 1
-
-                    n_insns = dec.n_insns
-                    cycles = n_insns * cycles_per_insn / timing._ilp_factor
-                    if l1_misses or l2_misses:
-                        overlap = 1.0 if dec.serialized else mlp
-                        cycles += l1_misses * (l2_hit_latency / overlap)
-                        cycles += l2_misses * (memory_latency / overlap)
-                    if mispredicts:
-                        cycles += mispredicts * mispredict_penalty
-
-                    # Energy prices are re-read per block: resizes re-bind them.
-                    l1e.dynamic_nj += (
-                        nl * l1e._read_nj + (ns + l1_misses) * l1e._write_nj
-                    )
-                    if have_l2:
-                        l2e.dynamic_nj += (
-                            (l2_rh + l2_rm) * l2e._read_nj
-                            + (l2_wh + l2_wm + l2_misses) * l2e._write_nj
-                        )
-                        energy.memory_nj += (
-                            (l2_misses + len(l2_wb)) * memory_access_nj
-                        )
-                    l1e.leakage_nj += cycles * l1e._leak_nj
-                    l2e.leakage_nj += cycles * l2e._leak_nj
-                    for component in pipeline:
-                        component.energy_nj += cycles * component._nj
-                    machine.instructions += n_insns
-                    machine.cycles += cycles
-
-                    # ---- VM bookkeeping + hooks ----
-                    stats.blocks_executed += 1
-                    thread_insns[thread_id] += n_insns
-                    if thread.hotspot_depth:
-                        stats.instructions_in_hotspots += n_insns
-                    if counts_hook is not None:
-                        counts_hook(n_insns, dec.block_pc, thread_id, machine)
-                    elif on_block is not None:
-                        on_block(
-                            BlockEvent(
-                                dec.method_name,
-                                dec.bid,
-                                n_insns,
-                                loads,
-                                stores,
-                                branch_pc,
-                                taken,
-                                dec.serialized,
-                                thread_id,
-                                dec.block_pc,
-                            ),
-                            machine,
-                        )
-                    # Cycles re-read after the hook: a reconfiguration inside
-                    # on_block charges stall cycles the sampler must see.
-                    now_cycles = machine.cycles
-                    if now_cycles >= sampler._next_sample_at:
-                        sampler_advance(now_cycles, dec.method_name)
-
-                    activation.phase = 1
-                    if decider is not None:
-                        activation.loop_states["__pending__"] = taken
-                    steps -= 1
-                    if gc_enabled or steps == 0:
-                        break
-                    if machine.instructions >= max_instructions:
-                        return
-                    # ---- chained call launch / terminator ----
-                    if dec.n_calls:
-                        activation.phase = 2
-                        self._invoke(thread, dec.callees[0])
-                        steps -= 1
-                        break
-                    kind = dec.term_kind
-                    if kind == TERM_RETURN:
-                        self._return(thread)
-                        steps -= 1
-                        if not stack:
-                            thread.finished = True
-                            return
-                        break
-                    if kind == TERM_GOTO:
-                        activation.bid = dec.goto_target
-                    else:
-                        taken = activation.loop_states.pop("__pending__")
-                        activation.bid = (
-                            dec.taken_target
-                            if taken
-                            else dec.fallthrough_target
-                        )
-                    activation.phase = 0
-                    steps -= 1
-                    if steps == 0:
-                        return
-                    if machine.instructions >= max_instructions:
-                        return
-                    dec = cur_table[activation.bid]
-                    # back to the chained block's body
-                continue
-
-            # ---- call launches ----
-            if phase <= dec.n_calls:
-                activation.phase = phase + 1
-                self._invoke(thread, dec.callees[phase - 1])
-                steps -= 1
-                continue
-
-            # ---- terminator ----
-            kind = dec.term_kind
-            if kind == TERM_RETURN:
-                self._return(thread)
-                if not stack:
-                    thread.finished = True
-                steps -= 1
-                continue
-            if kind == TERM_GOTO:
-                activation.bid = dec.goto_target
-            else:
-                taken = activation.loop_states.pop("__pending__")
-                activation.bid = (
-                    dec.taken_target if taken else dec.fallthrough_target
-                )
-            activation.phase = 0
-            steps -= 1
-
-    def _run_fused(self, thread, max_instructions) -> None:
-        """Single-thread, GC-free runner: the whole budget in one call.
-
-        With one thread and no GC, quantum boundaries and the body /
-        call / terminator micro-step seams are unobservable — no other
-        thread can be scheduled between them and ``_maybe_gc`` never
-        fires — so straight-line code runs in a tight loop that chains
-        pre-linked :class:`DecodedBlock` successors directly, keeps the
-        per-block iteration counter and persistent decider state in
-        decode-table slots, and inlines the L1D access loop.  The
-        instruction-budget gate is preserved at every point the
-        reference checks it: before each body, before each terminator
-        (a body that exhausts the budget leaves its terminator
-        unevaluated), and before each call launch.  On every exit the
+        The tight loop leaves for the outer loop at every seam where
+        those checks could act: the quantum end, the budget, and the
+        point where GC falls due.  The last two are one comparison
+        against ``limit = min(max_instructions, GC due point)``, fixed
+        per segment because GC state changes only in the outer loop (a
+        GC push, the GC method's return).  On every exit the
         activation's ``bid``/``phase``/``__pending__`` state is written
         back exactly as the reference would have left it.
         """
@@ -597,13 +312,19 @@ class FastVirtualMachine(VirtualMachine):
         memory_access_nj = energy.memory_access_nj
         pipeline = tuple(energy.pipeline.values())
         on_block, counts_only, counts_hook = _hook_mode(self.policy)
-        # Batching lumps many blocks into one step, so it runs only when
-        # no per-block hook can observe the seams.  This is also what
-        # keeps measuring policies exact: both ACE schemes install a
-        # per-block hook, and the (IPC, energy) of their trial windows
-        # depends on cache state carried in from all earlier execution,
-        # so any batching before a window could flip a near-tie choice.
-        batch_step = self._batch_step if on_block is None else None
+        gc_period = self._gc_period()
+        # Batching lumps many blocks into one step, so it runs only where
+        # nothing can observe the seams inside a batch: one thread, no
+        # GC, and no per-block hook.  The last is also what keeps
+        # measuring policies exact: both ACE schemes install a per-block
+        # hook, and the (IPC, energy) of their trial windows depends on
+        # cache state carried in from all earlier execution, so any
+        # batching before a window could flip a near-tie choice.
+        batch_step = (
+            self._batch_step
+            if on_block is None and not gc_period and len(self.threads) == 1
+            else None
+        )
         sampler = self.sampler
         sampler_advance = sampler.advance
         # Only sampler_advance itself moves the threshold, so it is kept
@@ -615,16 +336,19 @@ class FastVirtualMachine(VirtualMachine):
         rng = thread.rng
         drng = thread.decider_rng
         stack = thread.stack
-        tables = self._decoder.tables
-        get_table = self._decoder.table
+        decoder = self._decoders[thread_id]
+        tables = decoder.tables
+        get_table = decoder.table
         missing = _SENTINEL
         unset = PSTATE_UNSET
         cur_name = None
         cur_table = None
 
         while True:
-            if machine.instructions >= max_instructions:
+            if not steps or machine.instructions >= max_instructions:
                 return
+            if gc_period:
+                self._maybe_gc(thread)
             activation = stack[-1]
             method = activation.method
             name = method.name
@@ -638,7 +362,9 @@ class FastVirtualMachine(VirtualMachine):
 
             if phase:
                 # Resume a call block mid-sequence (after a callee
-                # returned): launch the next call or run the terminator.
+                # returned, or at a seam): launch the next call or run
+                # the terminator.
+                steps -= 1
                 if phase <= dec.n_calls:
                     activation.phase = phase + 1
                     self._invoke(thread, dec.callees[phase - 1])
@@ -665,6 +391,9 @@ class FastVirtualMachine(VirtualMachine):
             frame_base = activation.frame_base
             loop_states = activation.loop_states
             in_hotspot = thread.hotspot_depth
+            limit = max_instructions
+            if gc_period and not self._gc_active:
+                limit = min(limit, self._gc_last + gc_period)
             # The instruction/cycle counters live in locals for the
             # segment and are written back ("flushed") at every exit
             # from the tight loop — before hook calls, sampler advances,
@@ -902,36 +631,37 @@ class FastVirtualMachine(VirtualMachine):
                     # JIT compile cycles.
                     now_cycles = machine.cycles
 
-                if dec.n_calls:
-                    # Launch the first call right here (saves one outer
-                    # iteration per call); the launch micro-step is
-                    # budget-gated exactly as the outer loop would.
-                    # The callee's blocks run via the outer loop, which
-                    # re-hoists the new activation's context.
-                    machine.instructions = now_insns
-                    machine.cycles = now_cycles
-                    activation.bid = dec.bid
-                    if decider is not None:
-                        loop_states["__pending__"] = taken
-                    if now_insns >= max_instructions:
-                        activation.phase = 1
-                        return
-                    activation.phase = 2
-                    self._invoke(thread, dec.callees[0])
-                    break
-                if now_insns >= max_instructions:
-                    # The terminator micro-step is budget-gated in the
-                    # reference; leave it unevaluated.
+                # Chaining takes the next two micro-steps (the terminator
+                # or first call launch, then the next body) past the outer
+                # loop's checks.  That is exact only while both fit in the
+                # quantum and no check can act before them: the budget
+                # and GC due point cannot have moved after this one
+                # (neither transfers nor launches retire instructions).
+                if steps < 3 or now_insns >= limit:
+                    # Seam: leave the block at its terminator phase for
+                    # the outer loop.
                     machine.instructions = now_insns
                     machine.cycles = now_cycles
                     activation.bid = dec.bid
                     activation.phase = 1
                     if decider is not None:
                         loop_states["__pending__"] = taken
-                    return
-                # The budget cannot have moved between the check above and
-                # the next body (transfers retire no instructions), so the
-                # tight loop continues without a second gate.
+                    steps -= 1
+                    break
+                steps -= 2
+                if dec.n_calls:
+                    # Launch the first call right here (saves one outer
+                    # iteration per call).  The callee's blocks run via
+                    # the outer loop, which re-hoists the new
+                    # activation's context.
+                    machine.instructions = now_insns
+                    machine.cycles = now_cycles
+                    activation.bid = dec.bid
+                    if decider is not None:
+                        loop_states["__pending__"] = taken
+                    activation.phase = 2
+                    self._invoke(thread, dec.callees[0])
+                    break
                 kind = dec.term_kind
                 if kind == TERM_COND:
                     dec = dec.taken_dec if taken else dec.fallthrough_dec

@@ -167,10 +167,10 @@ class DecodedBlock:
 
     Everything the interpreter's hot loop needs from a block —
     instruction counts, terminator shape, resolved callee ``Method``
-    objects, state-dictionary keys — is immutable once the program is
-    laid out, so the fast kernel decodes each block once and then runs
-    from these flat slots instead of re-deriving them (isinstance checks,
-    dict lookups, ``getattr``) millions of times.
+    objects — is immutable once the program is laid out, so the fast
+    kernel decodes each block once and then runs from these flat slots
+    instead of re-deriving them (isinstance checks, dict lookups,
+    ``getattr``) millions of times.
     """
 
     __slots__ = (
@@ -185,7 +185,6 @@ class DecodedBlock:
         "fused_gen",
         "serialized",
         "region_base",
-        "key",
         "callees",
         "n_calls",
         "term_kind",
@@ -246,7 +245,7 @@ class DecodedBlock:
 
             self.fast_gen = fast
         #: Whether the generators consume the iteration counter at all;
-        #: when False the runners skip its per-execution maintenance
+        #: when False the runner skips its per-execution maintenance
         #: (the skipped value is unobservable).
         self.needs_iter = (
             self.gen is not None and self.gen.uses_iteration
@@ -254,9 +253,6 @@ class DecodedBlock:
         self.serialized = getattr(memory, "serialized", False)
         region = method.region
         self.region_base = region.base if region is not None else 0
-        #: Key into the thread's persistent per-block dictionaries
-        #: (iteration counters, persistent decider state).
-        self.key = (method.name, block.bid)
         self.callees: Tuple[Method, ...] = tuple(
             program.methods[site.callee] for site in block.calls
         )
@@ -282,16 +278,16 @@ class DecodedBlock:
         self.block_pc = block.branch_pc or 0
         #: Direct links to successor DecodedBlocks (resolved by
         #: :meth:`BlockDecoder.table` once the whole method is decoded) so
-        #: the fused single-thread runner chains blocks without per-step
-        #: table lookups.
+        #: the fast kernel's runner chains blocks without per-step table
+        #: lookups.
         self.goto_dec = None
         self.taken_dec = None
         self.fallthrough_dec = None
-        #: Per-run mutable state used only by the fused single-thread
-        #: runner (one thread, decoder owned by one VM): the block's
-        #: iteration counter and its persistent decider state.  The
-        #: general runner keeps these in the per-thread dictionaries,
-        #: exactly like the reference kernel.
+        #: Per-run mutable state of the fast kernel's runner, which
+        #: gives each thread its own decoder: the block's iteration
+        #: counter and its persistent decider state, i.e. the reference
+        #: kernel's ``thread.block_iterations`` and
+        #: ``thread.persistent_decider_states`` entries for this block.
         self.iter_count = 0
         self.pstate = PSTATE_UNSET
 
@@ -303,12 +299,13 @@ class DecodedBlock:
 
 
 class BlockDecoder:
-    """Per-program cache of :class:`DecodedBlock` tables.
+    """One thread's :class:`DecodedBlock` tables for a program.
 
     ``tables`` maps method name to a ``{bid: DecodedBlock}`` dict;
     methods are decoded lazily on first execution so cold methods cost
-    nothing.  Decoding requires the program to be laid out (branch PCs
-    assigned), which the VM already guarantees.
+    nothing.  The blocks carry the thread's per-run state, so a decoder
+    is never shared between threads.  Decoding requires the program to
+    be laid out (branch PCs assigned), which the VM already guarantees.
     """
 
     __slots__ = ("program", "tables")

@@ -20,11 +20,11 @@ the kernel simulates all of them in one step:
 * branch predictor, cycles, energy, method profiles and hotspot
   bookkeeping are applied in closed form.
 
-Turbo has no interpreter loop of its own.  The fast kernel's fused
-runner calls :meth:`TurboVirtualMachine._batch_step` at the top of its
-tight loop for self-loop blocks, and only when the policy installs no
-per-block hook; every other block, and every run under a measuring
-policy, executes on the fast kernel's scalar path.
+Turbo has no interpreter loop of its own.  The fast kernel's runner
+calls :meth:`TurboVirtualMachine._batch_step` at the top of its tight
+loop for self-loop blocks, and only in a single-threaded, GC-free run
+whose policy installs no per-block hook; every other block, and every
+other run, executes on the fast kernel's scalar path.
 
 This drops the fast kernel's bit-identity contract.  What may deviate and
 what must not is specified in docs/INTERNALS.md §17 and enforced by
@@ -32,8 +32,7 @@ what must not is specified in docs/INTERNALS.md §17 and enforced by
 rates, cycles) within the committed tolerance spec, discrete tuning
 outcomes (chosen configurations, pin decisions, phase transitions,
 hotspot sets) exactly equal to the fast kernel's.  Multi-threaded or
-GC-enabled runs take the inherited ``_run_quantum`` path and remain
-bit-identical to fast.
+GC-enabled runs never batch and remain bit-identical to fast.
 
 The kernel is strictly opt-in (``sim_kernel="turbo"``): it is never a
 default, is refused by golden-trace tests, and fingerprints under its own
@@ -770,7 +769,8 @@ class TurboVirtualMachine(FastVirtualMachine):
     ):
         """Batch the self-loop block ``dec`` if it is ready; see
         :meth:`FastVirtualMachine._run_fused`, which calls this at the top
-        of its tight loop when no per-block hook is installed.
+        of its tight loop in single-threaded, GC-free runs without a
+        per-block hook.
 
         ``now_insns``/``now_cycles`` are the runner's unflushed counters.
         Returns None when no batch ran (the runner continues scalar with

@@ -24,6 +24,7 @@ from pathlib import Path
 import pytest
 
 from repro.faults import FaultPlan
+from repro.sim import pools
 from repro.sim.config import ExperimentConfig
 from repro.sim.driver import RunSpec
 from repro.sim.engine import Engine
@@ -80,9 +81,13 @@ class TestRegistry:
             "ssh", "user@h1:hosts"
         )
 
-    def test_bare_local_sizes_to_the_affinity_mask(self, monkeypatch):
+    def test_bare_local_sizes_to_the_affinity_mask(
+        self, monkeypatch, tmp_path
+    ):
         # Pinned to one CPU of a larger machine: a bare ``local`` spec
-        # must not oversubscribe the mask.
+        # must not oversubscribe the mask.  (An empty cgroup root: no
+        # quota on top of the mask.)
+        monkeypatch.setattr(pools, "CGROUP_ROOT", str(tmp_path))
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         monkeypatch.setattr(
             os, "sched_getaffinity", lambda pid: {0}, raising=False
@@ -94,6 +99,34 @@ class TestRegistry:
         monkeypatch.delattr(os, "sched_getaffinity")
         assert available_cpus() == 8
         assert make_pool("local").workers == 8
+
+    def test_bare_local_respects_a_cgroup_cpu_quota(
+        self, monkeypatch, tmp_path
+    ):
+        # A container quota shares CPUs without shrinking the mask:
+        # workers = min(mask, ceil(quota / period)).
+        monkeypatch.setattr(pools, "CGROUP_ROOT", str(tmp_path))
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: set(range(8)),
+            raising=False,
+        )
+        v1 = tmp_path / "cpu"
+        v1.mkdir()
+        (v1 / "cpu.cfs_period_us").write_text("100000\n")
+        (v1 / "cpu.cfs_quota_us").write_text("-1\n")
+        assert available_cpus() == 8
+        (v1 / "cpu.cfs_quota_us").write_text("150000\n")
+        assert available_cpus() == 2
+        # cgroup v2 takes precedence when present.
+        (tmp_path / "cpu.max").write_text("max 100000\n")
+        assert available_cpus() == 8
+        (tmp_path / "cpu.max").write_text("250000 100000\n")
+        assert available_cpus() == 3
+        assert make_pool("local").workers == 3
+        assert make_pool("local:5").workers == 5
+        # A quota above the mask leaves the mask in charge.
+        (tmp_path / "cpu.max").write_text("1600000 100000\n")
+        assert available_cpus() == 8
 
     def test_factories_produce_the_right_pools(self, tmp_path):
         assert isinstance(make_pool("serial"), SerialPool)

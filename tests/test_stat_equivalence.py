@@ -45,13 +45,15 @@ def test_subset_cell_stat_equivalent(bench, scheme):
 
 
 #: Where turbo's batched path must fire and where it must stay scalar:
-#: batching runs only in the single-thread fused loop, and only when the
-#: policy installs no per-block hook (class or instance override).
+#: batching runs only where no seam can fall inside a batch — one thread,
+#: no GC — and only when the policy installs no per-block hook (class or
+#: instance override).
 BATCH_SITES = [
     ("db", "baseline", False, True),
     ("db", "bbv", False, False),
     ("db", "hotspot", False, False),
-    ("mtrt", "baseline", False, False),  # two threads: quantum loop
+    ("mtrt", "baseline", False, False),  # two threads: quantum seams
+    ("javac", "baseline", False, False),  # GC seams
     ("db", "baseline", True, False),  # on_block overridden on the instance
 ]
 
